@@ -40,7 +40,7 @@ runFragmentationMix(core::EngineKind kind, std::size_t ops,
     auto tree = *engine->createTree(2);
 
     pm::PhaseTracker tracker;
-    device.setPhaseTracker(&tracker);
+    tracker.start();
 
     // Variable-size records + heavy updates/deletes fragment pages.
     workload::MixedWorkload::Mix mix{40, 35, 15};
@@ -81,6 +81,7 @@ runFragmentationMix(core::EngineKind kind, std::size_t ops,
         if (!status.isOk())
             faspFatal("commit failed");
     }
+    tracker.stop();
 
     double defrag =
         static_cast<double>(tracker.totalNs(Component::Defrag));
@@ -89,7 +90,6 @@ runFragmentationMix(core::EngineKind kind, std::size_t ops,
                   Table::fmt(defrag / static_cast<double>(ops) /
                              1000.0, 4),
                   Table::fmt(100.0 * defrag / total, 4) + "%"});
-    device.setPhaseTracker(nullptr);
 }
 
 } // namespace

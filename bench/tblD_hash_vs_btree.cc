@@ -58,7 +58,7 @@ runHashInsertBench(core::EngineKind kind, std::size_t n)
     btree::HashIndex index(1);
 
     pm::PhaseTracker tracker;
-    device.setPhaseTracker(&tracker);
+    tracker.start();
     device.invalidateTagCache();
     engine->stats().reset();
 
@@ -77,6 +77,7 @@ runHashInsertBench(core::EngineKind kind, std::size_t n)
         if (!tx->commit().isOk())
             faspFatal("hash commit failed");
     }
+    tracker.stop();
     RunResult out;
     out.searchUs =
         static_cast<double>(tracker.totalNs(Component::Search)) /
@@ -84,7 +85,6 @@ runHashInsertBench(core::EngineKind kind, std::size_t n)
     out.totalUs = static_cast<double>(tracker.grandTotalNs()) /
                   static_cast<double>(n) / 1000.0;
     out.inPlace = engine->stats().inPlaceCommits;
-    device.setPhaseTracker(nullptr);
     return out;
 }
 

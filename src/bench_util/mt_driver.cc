@@ -70,7 +70,7 @@ clientLoop(Engine &engine, btree::BTree tree, const MtConfig &config,
             core::engineKindName(config.kind));
     }
 
-    const std::uint64_t model_start = pm::PmDevice::threadPersistModelNs();
+    const std::uint64_t model_start = pm::threadModelNs();
     std::uint64_t cpu_start = threadCpuNs();
 
     std::uint64_t backoff_us = 0;
@@ -78,8 +78,7 @@ clientLoop(Engine &engine, btree::BTree tree, const MtConfig &config,
         std::uint64_t key = keys.next();
         values.next(value);
         std::uint64_t txn_cpu0 = txn_hist ? threadCpuNs() : 0;
-        std::uint64_t txn_m0 =
-            txn_hist ? pm::PmDevice::threadPersistModelNs() : 0;
+        std::uint64_t txn_m0 = txn_hist ? pm::threadModelNs() : 0;
         Status status = Status::ok();
         try {
             status = engine.insert(
@@ -109,13 +108,12 @@ clientLoop(Engine &engine, btree::BTree tree, const MtConfig &config,
         out.committed++;
         if (txn_hist) {
             txn_hist->record((threadCpuNs() - txn_cpu0) +
-                             (pm::PmDevice::threadPersistModelNs() -
-                              txn_m0));
+                             (pm::threadModelNs() - txn_m0));
         }
     }
 
     out.activeNs = (threadCpuNs() - cpu_start) +
-                   (pm::PmDevice::threadPersistModelNs() - model_start);
+                   (pm::threadModelNs() - model_start);
 }
 
 } // namespace
@@ -151,13 +149,13 @@ runMtInsertBench(const MtConfig &config)
     pm::PersistencyChecker checker;
     if (config.attachChecker)
         device.setChecker(&checker);
-    obs::PmAttribution attribution;
-    if (obs::enabled())
-        device.setObserver(&attribution);
     device.invalidateTagCache();
     device.stats().reset();
     engine->stats().reset();
     const EngineCounters counters0 = EngineCounters::of(*engine);
+    pm::PhaseTracker window;
+    if (obs::enabled())
+        window.start();
 
     std::vector<ClientResult> clients(config.threads);
     std::vector<std::thread> workers;
@@ -209,9 +207,9 @@ runMtInsertBench(const MtConfig &config)
         result.checkerViolations = checker.report().total();
     }
     if (obs::enabled()) {
-        device.setObserver(nullptr);
+        window.stop();
         obs::PhaseLedger::global().fold(
-            core::engineKindName(config.kind), attribution);
+            core::engineKindName(config.kind), window);
         foldCounters(*engine, counters0);
     }
 
@@ -328,7 +326,7 @@ ycsbClientLoop(Engine &engine, btree::BTree tree,
     std::vector<std::uint8_t> scratch;
     out.opNs.reserve(config.opsPerThread);
 
-    const std::uint64_t model_start = pm::PmDevice::threadPersistModelNs();
+    const std::uint64_t model_start = pm::threadModelNs();
     std::uint64_t cpu_start = threadCpuNs();
 
     std::uint64_t backoff_us = 0;
@@ -336,7 +334,7 @@ ycsbClientLoop(Engine &engine, btree::BTree tree,
         workload::YcsbOpSpec op = wl.next();
         values.next(value);
         std::uint64_t op_cpu0 = threadCpuNs();
-        std::uint64_t op_m0 = pm::PmDevice::threadPersistModelNs();
+        std::uint64_t op_m0 = pm::threadModelNs();
         Status status = Status::ok();
         // Retry THIS op on latch conflicts: the workload already
         // advanced its state for it (an Insert consumed a key index),
@@ -366,11 +364,11 @@ ycsbClientLoop(Engine &engine, btree::BTree tree,
         out.opCounts[static_cast<std::size_t>(op.type)]++;
         out.ops++;
         out.opNs.push_back((threadCpuNs() - op_cpu0) +
-                           (pm::PmDevice::threadPersistModelNs() - op_m0));
+                           (pm::threadModelNs() - op_m0));
     }
 
     out.activeNs = (threadCpuNs() - cpu_start) +
-                   (pm::PmDevice::threadPersistModelNs() - model_start);
+                   (pm::threadModelNs() - model_start);
 }
 
 } // namespace
@@ -433,13 +431,13 @@ runMtYcsbBench(const MtYcsbConfig &config)
     pm::PersistencyChecker checker;
     if (config.attachChecker)
         device.setChecker(&checker);
-    obs::PmAttribution attribution;
-    if (obs::enabled())
-        device.setObserver(&attribution);
     device.invalidateTagCache();
     device.stats().reset();
     engine->stats().reset();
     const EngineCounters counters0 = EngineCounters::of(*engine);
+    pm::PhaseTracker window;
+    if (obs::enabled())
+        window.start();
 
     std::vector<YcsbClientResult> clients(config.threads);
     std::vector<std::thread> workers;
@@ -499,9 +497,9 @@ runMtYcsbBench(const MtYcsbConfig &config)
         result.checkerViolations = checker.report().total();
     }
     if (obs::enabled()) {
-        device.setObserver(nullptr);
+        window.stop();
         obs::PhaseLedger::global().fold(
-            core::engineKindName(config.kind), attribution);
+            core::engineKindName(config.kind), window);
         foldCounters(*engine, counters0);
     }
 

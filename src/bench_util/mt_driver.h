@@ -10,7 +10,7 @@
  * hardware. Instead each client accumulates
  *
  *     its own CPU time (CLOCK_THREAD_CPUTIME_ID)
- *   + its own modelled PM stall time (PmDevice::threadPersistModelNs)
+ *   + its own modelled PM stall time (pm::threadModelNs, its ledger)
  *
  * and the run's duration is the *maximum* over clients — on a machine
  * with >= N cores the clients run in parallel and the slowest one

@@ -342,18 +342,14 @@ runInsertBench(const BenchConfig &config)
 
     // Measure from a clean slate (the setup above is not counted).
     BenchResult result;
-    device.setPhaseTracker(&result.tracker);
     device.invalidateTagCache();
     device.stats().reset();
     engine->stats().reset();
     const EngineCounters counters0 = EngineCounters::of(*engine);
 
-    // With --metrics, bill PM events to phases/sites for this engine
-    // and collect a per-transaction latency distribution.
-    obs::PmAttribution attribution;
+    // With --metrics, collect a per-transaction latency distribution.
     obs::Histogram *txn_hist = nullptr;
     if (obs::enabled()) {
-        device.setObserver(&attribution);
         txn_hist = &obs::MetricsRegistry::global().histogram(
             std::string("bench.txn_ns.") +
             core::engineKindName(config.kind));
@@ -364,13 +360,14 @@ runInsertBench(const BenchConfig &config)
         workload::ValueGen::fixed(config.recordSize, config.seed + 1);
     std::vector<std::uint8_t> value;
 
+    result.tracker.start();
     auto wall_start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < config.numTxns; ++i) {
         std::uint64_t txn_t0 = 0;
         std::uint64_t txn_m0 = 0;
         if (txn_hist) {
             txn_t0 = nowNs();
-            txn_m0 = pm::PmDevice::threadPersistModelNs();
+            txn_m0 = pm::threadModelNs();
         }
         auto tx = engine->begin();
         for (std::size_t j = 0; j < config.recordsPerTxn; ++j) {
@@ -392,11 +389,11 @@ runInsertBench(const BenchConfig &config)
                       status.toString().c_str());
         if (txn_hist) {
             txn_hist->record((nowNs() - txn_t0) +
-                             (pm::PmDevice::threadPersistModelNs() -
-                              txn_m0));
+                             (pm::threadModelNs() - txn_m0));
         }
     }
     auto wall_end = std::chrono::steady_clock::now();
+    result.tracker.stop();
 
     result.txns = config.numTxns;
     result.wallSeconds =
@@ -407,11 +404,9 @@ runInsertBench(const BenchConfig &config)
         result.rtmStats = fasp->rtm().stats();
         result.pcasStats = fasp->pcas().stats();
     }
-    device.setPhaseTracker(nullptr);
     if (obs::enabled()) {
-        device.setObserver(nullptr);
         obs::PhaseLedger::global().fold(
-            core::engineKindName(config.kind), attribution);
+            core::engineKindName(config.kind), result.tracker);
         foldCounters(*engine, counters0);
     }
     return result;
@@ -447,10 +442,12 @@ runSqlBench(const SqlBenchConfig &config)
     device.invalidateTagCache();
     const EngineCounters counters0 = EngineCounters::of(database->engine());
 
-    obs::PmAttribution attribution;
+    // With --metrics, bill the ops' PM events to phases/sites through a
+    // ledger window and collect a per-op latency distribution.
+    pm::PhaseTracker window;
     obs::Histogram *op_hist = nullptr;
     if (obs::enabled()) {
-        device.setObserver(&attribution);
+        window.start();
         op_hist = &obs::MetricsRegistry::global().histogram(
             std::string("bench.sql_op_ns.") +
             core::engineKindName(config.kind));
@@ -537,9 +534,9 @@ runSqlBench(const SqlBenchConfig &config)
     result.opsPerSecond =
         static_cast<double>(config.numOps) / total_seconds;
     if (obs::enabled()) {
-        device.setObserver(nullptr);
+        window.stop();
         obs::PhaseLedger::global().fold(
-            core::engineKindName(config.kind), attribution);
+            core::engineKindName(config.kind), window);
         foldCounters(database->engine(), counters0);
     }
     return result;

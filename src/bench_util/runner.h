@@ -36,7 +36,8 @@ struct BenchConfig
     workload::KeyPattern keys = workload::KeyPattern::UniformRandom;
     std::uint64_t seed = 42;
     std::size_t deviceSize = 0;        //!< 0 = sized automatically
-    htm::RtmConfig rtm;                //!< FAST abort injection
+    /** FAST abort injection; starts from the engines' default. */
+    htm::RtmConfig rtm = core::EngineConfig{}.rtm;
     bool useClwb = false;              //!< CLWB vs CLFLUSH ablation
 
     /** FAST in-place commit mechanism (PCAS default vs RTM). */
@@ -47,7 +48,7 @@ struct BenchConfig
 /** Everything measured for one point. */
 struct BenchResult
 {
-    pm::PhaseTracker tracker;
+    pm::PhaseTracker tracker; //!< ledger window over the measured txns
     pm::PmStats pmStats;
     core::EngineStats engineStats;
     htm::RtmStats rtmStats;
@@ -116,8 +117,8 @@ struct EngineCounters
  * With obs enabled, add each stats field's change since @p before to
  * the global MetricsRegistry under its exported counter name. Zero
  * changes are skipped, so a counter appears in an export only once its
- * event happened. Every runner calls this where it folds its
- * PmAttribution into the PhaseLedger, so the counters and `pm_phases`
+ * event happened. Every runner calls this where it folds its ledger
+ * window into the PhaseLedger, so the counters and `pm_phases`
  * describe the same measured transactions. No-op with obs off.
  */
 void foldCounters(core::Engine &engine, const EngineCounters &before);

@@ -162,7 +162,7 @@ Status
 BTree::descend(TxPageIO &io, std::uint64_t key, Path &path)
 {
     // Root-to-leaf traversal: the paper's "Search" component (Fig. 6).
-    pm::PhaseScope phase(io.tracker(), pm::Component::Search);
+    pm::PhaseScope phase(pm::Component::Search);
     path.clear();
     auto root = rootPid(io);
     if (!root.isOk())
@@ -300,7 +300,7 @@ Result<PageId>
 BTree::descendToLevel(TxPageIO &io, std::uint64_t key,
                       std::uint16_t target_level)
 {
-    pm::PhaseScope phase(io.tracker(), pm::Component::Search);
+    pm::PhaseScope phase(pm::Component::Search);
     auto root = rootPid(io);
     if (!root.isOk())
         return root.status();
@@ -415,7 +415,7 @@ BTree::defragPage(TxPageIO &io, PageId pid)
 {
     // On-demand copy-on-write defragmentation (paper §4.3, Fig. 7
     // "defragment(page)").
-    pm::PhaseScope phase(io.tracker(), pm::Component::Defrag);
+    pm::PhaseScope phase(pm::Component::Defrag);
     // Debug-only hook; reading the env is benign even if a setenv
     // raced it (worst case: one lost diagnostic line).
     if (getenv("FASP_DEBUG_DEFRAG")) { // NOLINT(concurrency-mt-unsafe)
@@ -611,7 +611,7 @@ BTree::insert(TxPageIO &io, std::uint64_t key,
 
     std::vector<std::uint8_t> payload;
     {
-        pm::PhaseScope phase(io.tracker(), io.mutationComponent());
+        pm::PhaseScope phase(io.mutationComponent());
         FASP_RETURN_IF_ERROR(buildLeafPayload(io, key, value, payload));
     }
 
@@ -619,7 +619,7 @@ BTree::insert(TxPageIO &io, std::uint64_t key,
         Path path;
         FASP_RETURN_IF_ERROR(descend(io, key, path));
         PageId leaf_pid = path.back();
-        pm::PhaseScope phase(io.tracker(), io.mutationComponent());
+        pm::PhaseScope phase(io.mutationComponent());
         PageIO &leaf = io.page(leaf_pid, /*for_write=*/false);
         // FAST caps leaf slot counts so the header always fits one
         // cache line (paper 4.2); split early once the cap is hit.
@@ -663,7 +663,7 @@ BTree::update(TxPageIO &io, std::uint64_t key,
 
     std::vector<std::uint8_t> payload;
     {
-        pm::PhaseScope phase(io.tracker(), io.mutationComponent());
+        pm::PhaseScope phase(io.mutationComponent());
         FASP_RETURN_IF_ERROR(buildLeafPayload(io, key, value, payload));
     }
 
@@ -671,7 +671,7 @@ BTree::update(TxPageIO &io, std::uint64_t key,
         Path path;
         FASP_RETURN_IF_ERROR(descend(io, key, path));
         PageId leaf_pid = path.back();
-        pm::PhaseScope phase(io.tracker(), io.mutationComponent());
+        pm::PhaseScope phase(io.mutationComponent());
         PageIO &leaf = io.page(leaf_pid, /*for_write=*/false);
         auto sr = page::lowerBound(leaf, key);
         if (!sr.found)
@@ -748,7 +748,7 @@ BTree::erase(TxPageIO &io, std::uint64_t key)
     std::vector<std::uint8_t> payload;
     page::readPayload(leaf, sr.slot, payload);
 
-    pm::PhaseScope phase(io.tracker(), io.mutationComponent());
+    pm::PhaseScope phase(io.mutationComponent());
     PageIO &lw = io.page(leaf_pid, /*for_write=*/true);
     RecordRef old_ref{};
     FASP_RETURN_IF_ERROR(page::eraseRecord(lw, sr.slot, &old_ref));

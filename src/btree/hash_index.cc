@@ -157,7 +157,7 @@ HashIndex::bucketFor(TxPageIO &io, PageId dir_pid, std::uint64_t key)
 Result<HashIndex::Location>
 HashIndex::find(TxPageIO &io, const Bucket &bucket, std::uint64_t key)
 {
-    pm::PhaseScope phase(io.tracker(), pm::Component::Search);
+    pm::PhaseScope phase(pm::Component::Search);
     Location loc{kInvalidPageId, 0, false};
     PageId pid = bucket.head;
     std::size_t guard = 0;
@@ -198,7 +198,7 @@ HashIndex::insert(TxPageIO &io, std::uint64_t key,
     std::copy(value.begin(), value.end(), payload.begin() + 8);
     auto payload_len = static_cast<std::uint16_t>(payload.size());
 
-    pm::PhaseScope phase(io.tracker(), io.mutationComponent());
+    pm::PhaseScope phase(io.mutationComponent());
 
     // First chain page with room wins; remember a defraggable one.
     PageId pid = bucket.head;
@@ -235,8 +235,7 @@ HashIndex::insert(TxPageIO &io, std::uint64_t key,
         // Copy-on-write compaction (paper §4.3), repointing either the
         // predecessor's aux or the directory record — both atomic
         // header updates.
-        pm::PhaseScope defrag_phase(io.tracker(),
-                                    pm::Component::Defrag);
+        pm::PhaseScope defrag_phase(pm::Component::Defrag);
         auto fresh = io.allocPage();
         if (!fresh.isOk())
             return fresh.status();
@@ -310,7 +309,7 @@ HashIndex::update(TxPageIO &io, std::uint64_t key,
     storeU64(payload.data(), key);
     std::copy(value.begin(), value.end(), payload.begin() + 8);
 
-    pm::PhaseScope phase(io.tracker(), io.mutationComponent());
+    pm::PhaseScope phase(io.mutationComponent());
     PageIO &view = io.page(loc.pid, /*for_write=*/false);
     if (page::checkFit(view,
                        static_cast<std::uint16_t>(payload.size()),
@@ -368,7 +367,7 @@ HashIndex::erase(TxPageIO &io, std::uint64_t key)
     FASP_ASSIGN_OR_RETURN(Location loc, find(io, bucket, key));
     if (!loc.found)
         return statusNotFound("erase: missing key");
-    pm::PhaseScope phase(io.tracker(), io.mutationComponent());
+    pm::PhaseScope phase(io.mutationComponent());
     PageIO &lw = io.page(loc.pid, /*for_write=*/true);
     RecordRef old_ref{};
     FASP_RETURN_IF_ERROR(page::eraseRecord(lw, loc.slot, &old_ref));

@@ -61,7 +61,7 @@ class TxPageIO
     /** Directory page holding tree-id -> root-pid records. */
     virtual PageId directoryPid() const = 0;
 
-    /** Phase tracker for breakdown accounting (may be null). */
+    /** Unused: kept only because perfbench's TracingPageIO overrides it. */
     virtual pm::PhaseTracker *tracker() const { return nullptr; }
 
     /**

@@ -4,8 +4,8 @@ namespace fasp::mc {
 
 namespace detail {
 std::atomic<SchedulerHook *> g_hook{nullptr};
-thread_local bool t_participating = false;
-thread_local int t_hookDepth = 0;
+constinit thread_local bool t_participating = false;
+constinit thread_local int t_hookDepth = 0;
 } // namespace detail
 
 const char *

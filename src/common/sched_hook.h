@@ -100,8 +100,10 @@ class SchedulerHook
 
 namespace detail {
 extern std::atomic<SchedulerHook *> g_hook;
-extern thread_local bool t_participating;
-extern thread_local int t_hookDepth;
+// constinit: no dynamic initialization, so other TUs read these
+// directly instead of through a TLS init wrapper.
+extern constinit thread_local bool t_participating;
+extern constinit thread_local int t_hookDepth;
 } // namespace detail
 
 /** The hook to raise from the calling context, or nullptr (the common

@@ -87,12 +87,6 @@ BufferedTransaction::directoryPid() const
     return engine_.sb_.directoryPid;
 }
 
-pm::PhaseTracker *
-BufferedTransaction::tracker() const
-{
-    return engine_.device_.phaseTracker();
-}
-
 page::PageIO &
 BufferedTransaction::page(PageId pid, bool for_write)
 {
@@ -217,7 +211,7 @@ BufferedTransaction::commit()
         Status status = engine_.persistCommit(id_, dirty);
         if (!status.isOk())
             return status;
-        PhaseScope phase(tracker(), Component::CommitMisc);
+        PhaseScope phase(Component::CommitMisc);
         for (PageId pid : dirty)
             engine_.cache_.commitPage(pid);
     }
@@ -263,7 +257,7 @@ NvwalEngine::initFresh()
 Status
 NvwalEngine::recover(wal::RecoveryBreakdown &breakdown)
 {
-    PhaseScope phase(device_.phaseTracker(), Component::Recovery);
+    PhaseScope phase(Component::Recovery);
     MutexLock lk(&txMutex_); // quiescent, but keeps the guard provable
     cache_.clear();
     FASP_RETURN_IF_ERROR(nvwal_.recover(&breakdown));
@@ -318,7 +312,7 @@ JournalEngine::initFresh()
 Status
 JournalEngine::recover(wal::RecoveryBreakdown &breakdown)
 {
-    PhaseScope phase(device_.phaseTracker(), Component::Recovery);
+    PhaseScope phase(Component::Recovery);
     MutexLock lk(&txMutex_); // quiescent, but keeps the guard provable
     cache_.clear();
     auto rolled_back = journal_.recover(&breakdown);
@@ -341,14 +335,14 @@ JournalEngine::persistCommit(TxId txid, const std::vector<PageId> &dirty)
     // Figure 1a: journal the originals, seal ("fsync for journal"),
     // overwrite the database in place, then invalidate the journal.
     {
-        PhaseScope phase(device_.phaseTracker(), Component::LogFlush);
+        PhaseScope phase(Component::LogFlush);
         journal_.begin();
         for (PageId pid : dirty)
             FASP_RETURN_IF_ERROR(journal_.journalPage(pid));
         FASP_RETURN_IF_ERROR(journal_.seal());
     }
     {
-        PhaseScope phase(device_.phaseTracker(), Component::Checkpoint);
+        PhaseScope phase(Component::Checkpoint);
         pm::SiteScope site(device_, "JournalEngine::persistCommit");
         for (PageId pid : dirty) {
             wal::CachedPage *cached = cache_.find(pid);
@@ -361,7 +355,7 @@ JournalEngine::persistCommit(TxId txid, const std::vector<PageId> &dirty)
         device_.sfence();
     }
     {
-        PhaseScope phase(device_.phaseTracker(), Component::LogFlush);
+        PhaseScope phase(Component::LogFlush);
         journal_.invalidate();
     }
     return Status::ok();
@@ -385,7 +379,7 @@ LegacyWalEngine::initFresh()
 Status
 LegacyWalEngine::recover(wal::RecoveryBreakdown &breakdown)
 {
-    PhaseScope phase(device_.phaseTracker(), Component::Recovery);
+    PhaseScope phase(Component::Recovery);
     MutexLock lk(&txMutex_); // quiescent, but keeps the guard provable
     cache_.clear();
     FASP_RETURN_IF_ERROR(wal_.recover(&breakdown));
@@ -404,7 +398,7 @@ LegacyWalEngine::persistCommit(TxId txid,
                                const std::vector<PageId> &dirty)
 {
     {
-        PhaseScope phase(device_.phaseTracker(), Component::LogFlush);
+        PhaseScope phase(Component::LogFlush);
         std::vector<wal::WalDirtyPage> pages;
         pages.reserve(dirty.size());
         for (PageId pid : dirty) {
@@ -417,7 +411,7 @@ LegacyWalEngine::persistCommit(TxId txid,
             txid, std::span<const wal::WalDirtyPage>(pages)));
     }
     if (config_.autoCheckpoint && wal_.needsCheckpoint()) {
-        PhaseScope phase(device_.phaseTracker(), Component::Checkpoint);
+        PhaseScope phase(Component::Checkpoint);
         return wal_.checkpoint();
     }
     return Status::ok();

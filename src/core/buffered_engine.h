@@ -56,7 +56,6 @@ class BufferedTransaction : public Transaction, public btree::TxPageIO
     void freePage(PageId pid) override;
     void deferReclaim(PageId pid, const page::RecordRef &ref) override;
     PageId directoryPid() const override;
-    pm::PhaseTracker *tracker() const override;
     pm::Component mutationComponent() const override
     {
         // Updating the DRAM copy: Figure 7 "volatile buffer caching".

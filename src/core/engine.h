@@ -80,12 +80,10 @@ struct EngineConfig
     /** Buffer-cache capacity in pages (buffered engines only). */
     std::size_t volatileCachePages = 4096;
 
-    /** RTM behaviour (FAST only). */
-    htm::RtmConfig rtm;
-
-    /** After this many consecutive RTM aborts FAST falls back to
-     *  slot-header logging for the commit (paper §3.2 footnote). */
-    unsigned rtmRetriesBeforeFallback = 64;
+    /** RTM behaviour (FAST only). After rtm.maxRetries consecutive
+     *  aborts FAST falls back to slot-header logging for the commit
+     *  (paper §3.2 footnote). */
+    htm::RtmConfig rtm{.maxRetries = 64};
 
     /** FAST's in-place publication primitive. Defaults to PCAS; the
      *  RTM path is kept for the ablation benches and for page sizes

@@ -28,11 +28,6 @@ FaspEngine::FaspEngine(pm::PmDevice &device, const EngineConfig &cfg,
 {
     FASP_ASSERT(cfg.kind == EngineKind::Fast ||
                 cfg.kind == EngineKind::Fash);
-    // Bound RTM retries so FAST can fall back to slot-header logging
-    // (paper §3.2 footnote 1).
-    htm::RtmConfig rtm_cfg = cfg.rtm;
-    rtm_cfg.maxRetries = cfg.rtmRetriesBeforeFallback;
-    rtm_.setConfig(rtm_cfg);
     pager::Pager::loadBitmap(device_, sb_, bitmap_);
 }
 
@@ -49,7 +44,7 @@ FaspEngine::initFresh()
 Status
 FaspEngine::recover(wal::RecoveryBreakdown &breakdown)
 {
-    PhaseScope phase(device_.phaseTracker(), Component::Recovery);
+    PhaseScope phase(Component::Recovery);
     // Recovery is quiescent by contract; hold the log mutex anyway so
     // every log_ access in the program is provably under it.
     MutexLock logLock(&logMutex_);
@@ -200,12 +195,6 @@ PageId
 FaspTransaction::directoryPid() const
 {
     return engine_.sb_.directoryPid;
-}
-
-pm::PhaseTracker *
-FaspTransaction::tracker() const
-{
-    return engine_.device_.phaseTracker();
 }
 
 std::uint16_t
@@ -398,14 +387,13 @@ Status
 FaspTransaction::commitInPlace(PageState &st)
 {
     pm::SiteScope site(engine_.device_, "FaspTransaction::commitInPlace");
-    pm::PhaseTracker *trk = tracker();
     // (i) Persist the in-place record writes (Figure 7). With PCAS the
     // header bytes beyond the old durable extent ride along: they are
     // invisible until the commit word publishes the new record count,
     // so they persist like record content, shrinking the CAS set to
     // the words whose *visible* bytes change.
     {
-        PhaseScope phase(trk, Component::FlushRecord);
+        PhaseScope phase(Component::FlushRecord);
         bool flushed = false;
         if (st.io->contentDirty()) {
             st.io->flushDirtyRanges();
@@ -433,7 +421,7 @@ FaspTransaction::commitInPlace(PageState &st)
     if (!published.isOk())
         return published;
     {
-        PhaseScope phase(trk, Component::CommitMisc);
+        PhaseScope phase(Component::CommitMisc);
         applyReclaims();
     }
     engine_.stats_.inPlaceCommits++;
@@ -447,7 +435,7 @@ FaspTransaction::commitInPlaceRtm(PageState &st)
     // makes it durable (paper §3.2). Correct only under the paper's
     // cache-line write-back atomicity assumption — see
     // tests/recovery/atomicity_assumptions_test.cc.
-    PhaseScope phase(tracker(), Component::Atomic64BWrite);
+    PhaseScope phase(Component::Atomic64BWrite);
     // The record writes above must be fenced before the header
     // publish makes them reachable.
     engine_.device_.txCommitPoint();
@@ -472,7 +460,7 @@ FaspTransaction::commitInPlacePcas(PageState &st)
     // word via Pcas::cas (one flush + one fence, like the RTM path,
     // but word-atomic — no line-tear exposure and no shared line-lock
     // table), several words via the bounded PMwCAS (DESIGN.md §14).
-    PhaseScope phase(tracker(), Component::Atomic64BWrite);
+    PhaseScope phase(Component::Atomic64BWrite);
     engine_.device_.txCommitPoint();
 
     auto header = st.io->shadowBytes();
@@ -524,7 +512,6 @@ Status
 FaspTransaction::commitLogged()
 {
     pm::SiteScope site(engine_.device_, "FaspTransaction::commitLogged");
-    pm::PhaseTracker *trk = tracker();
 
     // The slot-header log (cursor, frames, truncation) is one shared
     // region: logged commits serialize on it. Held through txEnd so a
@@ -535,7 +522,7 @@ FaspTransaction::commitLogged()
     // (1) Flush in-place record writes; order among them is free as
     // long as they all precede the commit mark (paper §3.3).
     {
-        PhaseScope phase(trk, Component::FlushRecord);
+        PhaseScope phase(Component::FlushRecord);
         bool flushed = false;
         for (auto &[pid, st] : pages_) {
             if (st.io->contentDirty()) {
@@ -550,7 +537,7 @@ FaspTransaction::commitLogged()
     // (2) Copy the updated slot headers into the slot-header log
     // (stores only; Figure 7 "update slot header").
     {
-        PhaseScope phase(trk, Component::UpdateSlotHeader);
+        PhaseScope phase(Component::UpdateSlotHeader);
         engine_.log_.begin();
         for (auto &[pid, st] : pages_) {
             if (!st.fresh && st.io->headerDirty()) {
@@ -567,19 +554,19 @@ FaspTransaction::commitLogged()
     // (3) Flush the log and write the commit mark (Figure 8
     // "Log Flush").
     {
-        PhaseScope phase(trk, Component::LogFlush);
+        PhaseScope phase(Component::LogFlush);
         FASP_RETURN_IF_ERROR(engine_.log_.commit(id_));
     }
 
     // (4) Eager checkpoint + truncate (Figure 8 "Checkpointing").
     {
-        PhaseScope phase(trk, Component::Checkpoint);
+        PhaseScope phase(Component::Checkpoint);
         FASP_RETURN_IF_ERROR(engine_.log_.checkpointAndTruncate());
     }
 
     // (5) Post-commit bookkeeping.
     {
-        PhaseScope phase(trk, Component::CommitMisc);
+        PhaseScope phase(Component::CommitMisc);
         applyReclaims();
         if (!frees_.empty()) {
             MutexLock lk(&engine_.allocMutex_);

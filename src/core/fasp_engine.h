@@ -64,7 +64,6 @@ class FaspTransaction : public Transaction, public btree::TxPageIO
     void freePage(PageId pid) override;
     void deferReclaim(PageId pid, const page::RecordRef &ref) override;
     PageId directoryPid() const override;
-    pm::PhaseTracker *tracker() const override;
     pm::Component mutationComponent() const override
     {
         return pm::Component::InPlaceInsert;

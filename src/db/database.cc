@@ -49,10 +49,9 @@ Database::exec(const std::string &sql)
 {
     // SQL front-end time: parsing (Figures 11-12 measure the full
     // query path including this fixed software overhead).
-    pm::PhaseTracker *tracker = engine_->device().phaseTracker();
     Statement stmt{};
     {
-        pm::PhaseScope phase(tracker, pm::Component::SqlFrontend);
+        pm::PhaseScope phase(pm::Component::SqlFrontend);
         auto parsed = parseStatement(sql);
         if (!parsed.isOk())
             return parsed.status();

@@ -6,7 +6,7 @@
 
 namespace fasp::mc {
 
-thread_local int CoopScheduler::t_self = -1;
+constinit thread_local int CoopScheduler::t_self = -1;
 
 const char *
 mcViolationKindName(McViolation::Kind kind)

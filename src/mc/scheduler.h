@@ -195,7 +195,7 @@ class CoopScheduler : public SchedulerHook
         tokens_;
     std::uint32_t nextToken_ = 0;
 
-    static thread_local int t_self;
+    static constinit thread_local int t_self;
 };
 
 } // namespace fasp::mc

@@ -40,8 +40,17 @@ appendU64(std::string &out, std::uint64_t v)
     out += std::to_string(v);
 }
 
+/** A `pm_phases` cell is exported only once a PM store, flush, fence
+ *  or modelled ns was billed to it (not for wall time alone). */
+bool
+noPmCost(const pm::PmCell &cell)
+{
+    return cell.stores == 0 && cell.flushes == 0 && cell.fences == 0 &&
+           cell.modelNs == 0;
+}
+
 void
-appendCellJson(std::string &out, const PmCellSnapshot &cell)
+appendCellJson(std::string &out, const pm::PmCell &cell)
 {
     out += "{\"stores\": ";
     appendU64(out, cell.stores);
@@ -79,12 +88,12 @@ appendHistJson(std::string &out, const HistogramSnapshot &snap)
  *  index 0 renders under componentName(None) as the untagged rest). */
 void
 appendPhaseNsJson(std::string &out,
-                  const std::array<std::uint64_t, kSpanComponents> &ns,
+                  const std::array<std::uint64_t, pm::kNumComponents> &ns,
                   const char *indent)
 {
     out += "{";
     bool first = true;
-    for (std::size_t i = 0; i < kSpanComponents; ++i) {
+    for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
         if (ns[i] == 0)
             continue;
         out += first ? "\n" : ",\n";
@@ -226,9 +235,9 @@ exportJson(const std::string &benchName,
         appendJsonString(out, entry.engine);
         out += ": {";
         bool pfirst = true;
-        for (std::size_t i = 0; i < PmAttribution::kNumPhases; ++i) {
-            const PmCellSnapshot &cell = entry.phases[i];
-            if (cell.empty())
+        for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
+            const pm::PmCell &cell = entry.phases[i];
+            if (noPmCost(cell))
                 continue;
             out += pfirst ? "\n" : ",\n";
             pfirst = false;
@@ -537,7 +546,7 @@ exportPrometheus(const std::string &benchName,
 
     auto emitCell = [&out](const std::string &prefix,
                            const std::string &labels,
-                           const PmCellSnapshot &cell) {
+                           const pm::PmCell &cell) {
         out += prefix + "_stores{" + labels + "} "
             + std::to_string(cell.stores) + "\n";
         out += prefix + "_store_bytes{" + labels + "} "
@@ -552,9 +561,9 @@ exportPrometheus(const std::string &benchName,
 
     out += "# TYPE fasp_pm_phase_flushes counter\n";
     for (const auto &entry : ledger.entries()) {
-        for (std::size_t i = 0; i < PmAttribution::kNumPhases; ++i) {
-            const PmCellSnapshot &cell = entry.phases[i];
-            if (cell.empty())
+        for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
+            const pm::PmCell &cell = entry.phases[i];
+            if (noPmCost(cell))
                 continue;
             std::string labels = "engine=\"" + promLabel(entry.engine)
                 + "\",phase=\""
@@ -639,7 +648,7 @@ exportPrometheus(const std::string &benchName,
                     + std::to_string(es.wallNs.count) + "\n";
                 out += "fasp_span_wall_ns_max{" + eng + "} "
                     + std::to_string(es.wallNs.max) + "\n";
-                for (std::size_t i = 0; i < kSpanComponents; ++i) {
+                for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
                     if (es.phaseNs[i] == 0)
                         continue;
                     out += "fasp_span_phase_ns{" + eng + ",phase=\""

@@ -189,7 +189,7 @@ FlightRecorder::append(FlightEventType type, std::uint8_t engine,
     rec.pageId = pageId;
     rec.txid = txid;
     rec.aux = aux;
-    rec.modelNs = pm::PmDevice::threadPersistModelNs();
+    rec.modelNs = pm::threadModelNs();
 
     std::array<std::uint8_t, kRecordBytes> buf;
     encodeRecord(buf.data(), rec);

@@ -4,19 +4,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 namespace fasp::obs {
 
 namespace {
 
 std::atomic<bool> g_enabled{false};
-
-/** Site tag billed when a PM event fires outside any SiteScope. */
-constexpr const char *kUntaggedSite = "(untagged)";
-
-/** Site tag billed once the slot table is full. */
-constexpr const char *kOverflowSite = "(overflow)";
 
 } // namespace
 
@@ -29,7 +22,8 @@ enabled()
 void
 setEnabled(bool on)
 {
-    g_enabled.store(on, std::memory_order_relaxed);
+    if (g_enabled.exchange(on, std::memory_order_relaxed) != on)
+        pm::holdPhaseClock(on);
 }
 
 // --- Histogram ---------------------------------------------------------
@@ -224,131 +218,6 @@ MetricsRegistry::reset()
         h->reset();
 }
 
-// --- PmAttribution -----------------------------------------------------
-
-PmCellSnapshot
-PmAttribution::snapshotCell(const Cell &cell)
-{
-    PmCellSnapshot snap;
-    snap.stores = cell.stores.load(std::memory_order_relaxed);
-    snap.storeBytes = cell.storeBytes.load(std::memory_order_relaxed);
-    snap.flushes = cell.flushes.load(std::memory_order_relaxed);
-    snap.fences = cell.fences.load(std::memory_order_relaxed);
-    snap.modelNs = cell.modelNs.load(std::memory_order_relaxed);
-    return snap;
-}
-
-PmAttribution::Cell &
-PmAttribution::siteCell(const char *site)
-{
-    if (site == nullptr)
-        site = kUntaggedSite;
-
-    // One-entry per-thread memo: commit paths hammer one site tag at a
-    // time, so the common case skips the scan entirely.
-    struct Memo
-    {
-        const PmAttribution *owner = nullptr;
-        const char *site = nullptr;
-        Cell *cell = nullptr;
-    };
-    thread_local Memo memo;
-    if (memo.owner == this && memo.site == site)
-        return *memo.cell;
-
-    for (auto &slot : sites_) {
-        const char *cur = slot.name.load(std::memory_order_acquire);
-        if (cur == nullptr) {
-            // Claim the empty slot; on a lost race, fall through to
-            // re-examine whatever the winner installed.
-            if (slot.name.compare_exchange_strong(
-                    cur, site, std::memory_order_acq_rel)) {
-                cur = site;
-            }
-        }
-        // Pointer compare first (tags are literals); content compare
-        // catches identical literals with distinct addresses.
-        if (cur == site || std::strcmp(cur, site) == 0) {
-            memo = Memo{this, site, &slot.cell};
-            return slot.cell;
-        }
-    }
-    return overflow_;
-}
-
-void
-PmAttribution::onPmStore(const char *site, pm::Component phase,
-                         std::size_t bytes)
-{
-    Cell &pc = phaseCell(phase);
-    pc.stores.fetch_add(1, std::memory_order_relaxed);
-    pc.storeBytes.fetch_add(bytes, std::memory_order_relaxed);
-    Cell &sc = siteCell(site);
-    sc.stores.fetch_add(1, std::memory_order_relaxed);
-    sc.storeBytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void
-PmAttribution::onPmFlush(const char *site, pm::Component phase)
-{
-    phaseCell(phase).flushes.fetch_add(1, std::memory_order_relaxed);
-    siteCell(site).flushes.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-PmAttribution::onPmFence(const char *site, pm::Component phase)
-{
-    phaseCell(phase).fences.fetch_add(1, std::memory_order_relaxed);
-    siteCell(site).fences.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-PmAttribution::onPmModelNs(const char *site, pm::Component phase,
-                           std::uint64_t ns)
-{
-    phaseCell(phase).modelNs.fetch_add(ns, std::memory_order_relaxed);
-    siteCell(site).modelNs.fetch_add(ns, std::memory_order_relaxed);
-}
-
-PmCellSnapshot
-PmAttribution::phase(pm::Component comp) const
-{
-    return snapshotCell(phases_[static_cast<std::size_t>(comp)]);
-}
-
-std::vector<std::pair<std::string, PmCellSnapshot>>
-PmAttribution::sites() const
-{
-    std::vector<std::pair<std::string, PmCellSnapshot>> out;
-    for (const auto &slot : sites_) {
-        const char *name = slot.name.load(std::memory_order_acquire);
-        if (name == nullptr)
-            break;
-        out.emplace_back(name, snapshotCell(slot.cell));
-    }
-    PmCellSnapshot ovf = snapshotCell(overflow_);
-    if (!ovf.empty())
-        out.emplace_back(kOverflowSite, ovf);
-    return out;
-}
-
-void
-PmAttribution::reset()
-{
-    auto zero = [](Cell &c) {
-        c.stores.store(0, std::memory_order_relaxed);
-        c.storeBytes.store(0, std::memory_order_relaxed);
-        c.flushes.store(0, std::memory_order_relaxed);
-        c.fences.store(0, std::memory_order_relaxed);
-        c.modelNs.store(0, std::memory_order_relaxed);
-    };
-    for (auto &c : phases_)
-        zero(c);
-    for (auto &slot : sites_)
-        zero(slot.cell);
-    zero(overflow_);
-}
-
 // --- PhaseLedger -------------------------------------------------------
 
 PhaseLedger &
@@ -359,7 +228,7 @@ PhaseLedger::global()
 }
 
 void
-PhaseLedger::fold(std::string_view engine, const PmAttribution &attr)
+PhaseLedger::fold(std::string_view engine, const pm::PhaseTracker &window)
 {
     MutexLock lk(&mu_);
     Entry *entry = nullptr;
@@ -374,11 +243,11 @@ PhaseLedger::fold(std::string_view engine, const PmAttribution &attr)
         entry = &entries_.back();
         entry->engine = std::string(engine);
     }
-    for (std::size_t i = 0; i < PmAttribution::kNumPhases; ++i) {
+    for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
         entry->phases[i] +=
-            attr.phase(static_cast<pm::Component>(i));
+            window.phase(static_cast<pm::Component>(i));
     }
-    for (const auto &[site, cell] : attr.sites()) {
+    for (const auto &[site, cell] : window.sites()) {
         auto it = std::find_if(
             entry->sites.begin(), entry->sites.end(),
             [&](const auto &p) { return p.first == site; });

@@ -3,9 +3,9 @@
 /**
  * @file
  * Observability metrics: named counters, gauges, and latency
- * histograms, plus the PM-event attribution that reproduces the
- * paper's Fig-8 per-phase flush/fence/cycle breakdown at runtime
- * (DESIGN.md §11).
+ * histograms, plus the per-engine fold of PM-ledger windows that
+ * reproduces the paper's Fig-8 per-phase flush/fence/cycle breakdown
+ * at runtime (DESIGN.md §11).
  *
  * Cost model: everything here is relaxed atomics, and every record
  * site is guarded by obs::enabled() (one relaxed atomic-bool load), so
@@ -14,8 +14,8 @@
  * in their own stats structs; bench_util folds those into registry
  * counters after a run (DESIGN.md §11).
  *
- * Thread safety: Counter / Gauge / Histogram / PmAttribution are safe
- * to record from any number of threads. MetricsRegistry name lookup
+ * Thread safety: Counter / Gauge / Histogram are safe to record from
+ * any number of threads. MetricsRegistry name lookup
  * takes a Mutex — hot paths cache the returned reference (stable
  * address for the registry's lifetime) in a function-local static.
  * Snapshot/export reads are racy-but-atomic: each cell is read with a
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "pm/device.h"
 #include "pm/phase.h"
 
 namespace fasp::obs {
@@ -46,7 +45,9 @@ namespace fasp::obs {
  *  record site so the disabled build costs one relaxed load. */
 bool enabled();
 
-/** Flip the global switch (quiescent only: before threads start). */
+/** Flip the global switch (quiescent only: before threads start).
+ *  While on, obs holds the pm phase clock, so PhaseScope settles the
+ *  wall time spans partition. */
 void setEnabled(bool on);
 
 /** Monotonic event counter. */
@@ -218,101 +219,13 @@ class MetricsRegistry
         histograms_ GUARDED_BY(mu_);
 };
 
-/** One attribution cell's snapshot (per phase or per site). */
-struct PmCellSnapshot
-{
-    std::uint64_t stores = 0;
-    std::uint64_t storeBytes = 0;
-    std::uint64_t flushes = 0;
-    std::uint64_t fences = 0;
-    std::uint64_t modelNs = 0;
-
-    bool empty() const
-    {
-        return stores == 0 && flushes == 0 && fences == 0 &&
-               modelNs == 0;
-    }
-
-    PmCellSnapshot &operator+=(const PmCellSnapshot &o)
-    {
-        stores += o.stores;
-        storeBytes += o.storeBytes;
-        flushes += o.flushes;
-        fences += o.fences;
-        modelNs += o.modelNs;
-        return *this;
-    }
-};
-
 /**
- * PmEventObserver that bills every PM store/flush/fence/model-latency
- * charge to (a) the issuing thread's execution phase (the PhaseScope
- * Component — the paper's Fig-8 axis) and (b) its SiteScope code-site
- * tag. Phase cells are a fixed array; site cells live in a fixed-size
- * lock-free slot table keyed by tag pointer with a content-equality
- * fallback (tags are string literals, but identical literals may have
- * distinct addresses across TUs). Beyond kMaxSites distinct tags,
- * events fold into the "(overflow)" slot rather than being dropped.
- */
-class PmAttribution final : public pm::PmEventObserver
-{
-  public:
-    static constexpr std::size_t kNumPhases =
-        static_cast<std::size_t>(pm::Component::NumComponents);
-    static constexpr std::size_t kMaxSites = 128;
-
-    void onPmStore(const char *site, pm::Component phase,
-                   std::size_t bytes) override;
-    void onPmFlush(const char *site, pm::Component phase) override;
-    void onPmFence(const char *site, pm::Component phase) override;
-    void onPmModelNs(const char *site, pm::Component phase,
-                     std::uint64_t ns) override;
-
-    PmCellSnapshot phase(pm::Component comp) const;
-
-    /** (site tag, snapshot) for every registered site, registration
-     *  order. */
-    std::vector<std::pair<std::string, PmCellSnapshot>> sites() const;
-
-    void reset();
-
-  private:
-    struct Cell
-    {
-        std::atomic<std::uint64_t> stores{0};
-        std::atomic<std::uint64_t> storeBytes{0};
-        std::atomic<std::uint64_t> flushes{0};
-        std::atomic<std::uint64_t> fences{0};
-        std::atomic<std::uint64_t> modelNs{0};
-    };
-
-    struct SiteSlot
-    {
-        std::atomic<const char *> name{nullptr};
-        Cell cell;
-    };
-
-    static PmCellSnapshot snapshotCell(const Cell &cell);
-
-    Cell &phaseCell(pm::Component comp)
-    {
-        return phases_[static_cast<std::size_t>(comp)];
-    }
-
-    Cell &siteCell(const char *site);
-
-    std::array<Cell, kNumPhases> phases_;
-    std::array<SiteSlot, kMaxSites> sites_;
-    Cell overflow_;
-};
-
-/**
- * Per-engine fold of PmAttribution snapshots. Benches run one engine
- * at a time with a fresh PmAttribution attached to the device; at the
- * end of each run the runner folds that attribution here under the
- * engine's name, and the exporters emit the per-engine × per-phase
- * breakdown (the runtime Fig 8). Folding the same engine twice
- * accumulates — a bench sweeping latencies sums across the sweep.
+ * Per-engine fold of PM-ledger windows. Benches run one engine at a
+ * time inside a pm::PhaseTracker window; at the end of each run the
+ * runner folds that window here under the engine's name, and the
+ * exporters emit the per-engine × per-phase breakdown (the runtime Fig
+ * 8) and the per-site one. Folding the same engine twice accumulates —
+ * a bench sweeping latencies sums across the sweep.
  */
 class PhaseLedger
 {
@@ -320,13 +233,14 @@ class PhaseLedger
     struct Entry
     {
         std::string engine;
-        std::array<PmCellSnapshot, PmAttribution::kNumPhases> phases{};
-        std::vector<std::pair<std::string, PmCellSnapshot>> sites;
+        std::array<pm::PmCell, pm::kNumComponents> phases{};
+        std::vector<std::pair<std::string, pm::PmCell>> sites;
     };
 
     static PhaseLedger &global();
 
-    void fold(std::string_view engine, const PmAttribution &attr)
+    /** Fold the stopped @p window's phase and site cells. */
+    void fold(std::string_view engine, const pm::PhaseTracker &window)
         EXCLUDES(mu_);
 
     std::vector<Entry> entries() const EXCLUDES(mu_);

@@ -4,10 +4,6 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <chrono>
-
-#include "pm/device.h"
-#include "pm/pcas.h"
 
 namespace fasp::obs {
 
@@ -20,48 +16,18 @@ constexpr std::size_t kHeatProbes = 8;
  *  keep earning its cell to stay hot; cells decayed to zero free up). */
 constexpr std::uint64_t kHeatDecayPeriod = 1u << 16;
 
-std::uint64_t
-steadyNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** The calling thread's in-flight span, plus the begin-side counter
- *  baselines the end-side deltas subtract. */
+/** The calling thread's in-flight span and its ledger at begin; the
+ *  end-side ledger deltas are the span's per-phase wall time, PM
+ *  events and PCAS counts. */
 struct ActiveSpan
 {
     bool active = false;
-    std::size_t curComp = 0;
     std::uint64_t t0 = 0;
-    std::uint64_t markNs = 0;
-    std::uint64_t model0 = 0;
-    std::uint64_t flush0 = 0;
-    std::uint64_t fence0 = 0;
-    pm::PcasThreadCounters pcas0;
+    pm::ThreadTotals base;
     TxSpan span;
 };
 
 thread_local ActiveSpan t_span;
-
-/** PhaseScope boundary: settle elapsed wall into the outgoing
- *  component's bucket, so the buckets partition [begin, end] exactly
- *  and their sum equals the span's wall time by construction. */
-void
-phaseHook(pm::Component newTop, bool entered)
-{
-    ActiveSpan &s = t_span;
-    if (!s.active)
-        return;
-    std::uint64_t now = steadyNs();
-    s.span.phaseNs[s.curComp] += now - s.markNs;
-    s.markNs = now;
-    s.curComp = static_cast<std::size_t>(newTop);
-    if (entered && newTop == pm::Component::LogFlush)
-        ++s.span.walAppends;
-}
 
 std::atomic<std::uint64_t> g_profilerIds{0};
 
@@ -75,24 +41,19 @@ spanBegin(const char *engine, std::uint8_t engineCode,
 {
     if (!enabled())
         return;
-    SpanProfiler::global(); // materialise profiler + phase hook
     ActiveSpan &s = t_span;
-    s = ActiveSpan{};
     s.active = true;
+    s.span = TxSpan{};
     s.span.txId = txId;
     s.span.engine = engine;
     s.span.engineCode = engineCode;
-    std::uint64_t now = steadyNs();
-    s.t0 = now;
-    s.markNs = now;
-    s.span.beginNs = now;
-    // A transaction may begin inside an enclosing PhaseScope (e.g. the
-    // SQL front end); bill its time to that component, not untagged.
-    s.curComp = static_cast<std::size_t>(pm::currentThreadComponent());
-    s.model0 = pm::PmDevice::threadPersistModelNs();
-    s.flush0 = pm::PmDevice::threadFlushCount();
-    s.fence0 = pm::PmDevice::threadFenceCount();
-    s.pcas0 = pm::pcasThreadCounters();
+    // Settling the clock at begin and at end makes the per-phase wall
+    // deltas partition [t0, end] exactly. A transaction may begin
+    // inside an enclosing PhaseScope (e.g. the SQL front end); its
+    // time bills to that component, not untagged.
+    s.t0 = pm::settleThreadClock();
+    s.span.beginNs = s.t0;
+    s.base = pm::threadTotals();
 }
 
 void
@@ -102,24 +63,28 @@ spanEnd(bool committed, const char *commitPath)
     if (!s.active)
         return;
     s.active = false;
-    std::uint64_t now = steadyNs();
-    s.span.phaseNs[s.curComp] += now - s.markNs;
+    std::uint64_t now = pm::settleThreadClock();
+    pm::ThreadTotals end = pm::threadTotals();
+    for (std::size_t i = 0; i < pm::kNumComponents; ++i)
+        s.span.phaseNs[i] = end.phases[i].wallNs - s.base.phases[i].wallNs;
+    pm::PmCell d = end.sum();
+    d -= s.base.sum();
     s.span.wallNs = now - s.t0;
     s.span.committed = committed;
     s.span.commitPath = commitPath;
-    s.span.modelNs =
-        pm::PmDevice::threadPersistModelNs() - s.model0;
-    s.span.flushes = static_cast<std::uint32_t>(
-        pm::PmDevice::threadFlushCount() - s.flush0);
-    s.span.fences = static_cast<std::uint32_t>(
-        pm::PmDevice::threadFenceCount() - s.fence0);
-    const pm::PcasThreadCounters &pc = pm::pcasThreadCounters();
+    s.span.modelNs = d.modelNs;
+    s.span.flushes = static_cast<std::uint32_t>(d.flushes);
+    s.span.fences = static_cast<std::uint32_t>(d.fences);
+    constexpr auto kLogFlush =
+        static_cast<std::size_t>(pm::Component::LogFlush);
+    s.span.walAppends = static_cast<std::uint32_t>(
+        end.phases[kLogFlush].scopes - s.base.phases[kLogFlush].scopes);
     s.span.pcasAttempts =
-        static_cast<std::uint32_t>(pc.attempts - s.pcas0.attempts);
+        static_cast<std::uint32_t>(end.pcasAttempts - s.base.pcasAttempts);
     s.span.pcasRetries =
-        static_cast<std::uint32_t>(pc.retries - s.pcas0.retries);
+        static_cast<std::uint32_t>(end.pcasRetries - s.base.pcasRetries);
     s.span.pcasHelps =
-        static_cast<std::uint32_t>(pc.helps - s.pcas0.helps);
+        static_cast<std::uint32_t>(end.pcasHelps - s.base.pcasHelps);
     SpanProfiler::global().recordSpan(s.span);
 }
 
@@ -194,14 +159,9 @@ SpanProfiler::SpanProfiler()
 SpanProfiler &
 SpanProfiler::global()
 {
-    // Leaked so recording threads may outlive static destruction; the
-    // pm phase hook is installed alongside, so a metrics-off run never
-    // pays for either.
-    static SpanProfiler *profiler = [] {
-        auto *p = new SpanProfiler();
-        pm::detail::setPhaseHook(&phaseHook);
-        return p;
-    }();
+    // Leaked so recording threads may outlive static destruction; a
+    // metrics-off run never constructs it.
+    static SpanProfiler *profiler = new SpanProfiler();
     return *profiler;
 }
 
@@ -254,7 +214,7 @@ SpanProfiler::recordSpan(const TxSpan &span)
     else
         agg.aborts.fetch_add(1, std::memory_order_relaxed);
     agg.wallNs.record(span.wallNs);
-    for (std::size_t i = 0; i < kSpanComponents; ++i) {
+    for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
         if (span.phaseNs[i] != 0) {
             agg.phaseNs[i].fetch_add(span.phaseNs[i],
                                      std::memory_order_relaxed);
@@ -421,7 +381,7 @@ SpanProfiler::engineSummaries() const
         s.commits = agg.commits.load(std::memory_order_relaxed);
         s.aborts = agg.aborts.load(std::memory_order_relaxed);
         s.wallNs = snapshotHistogram(agg.wallNs);
-        for (std::size_t i = 0; i < kSpanComponents; ++i) {
+        for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
             s.phaseNs[i] =
                 agg.phaseNs[i].load(std::memory_order_relaxed);
         }

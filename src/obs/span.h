@@ -7,10 +7,11 @@
  *
  * Every transaction — on all five engines — records one fixed-size
  * TxSpan: begin/commit wall ns partitioned into pm::Component
- * sub-phases (settled by a PhaseScope hook), plus latch-acquire wait
- * per LatchTable slot, PCAS attempt/retry/help deltas, clflush/sfence
- * counts, modelled PM ns, WAL appends, and split/defrag counts. Spans
- * land in a per-thread lock-free span ring and fold into:
+ * sub-phases, PCAS attempt/retry/help counts, clflush/sfence counts,
+ * modelled PM ns and WAL appends — all deltas of the calling thread's
+ * PM ledger (pm/phase.h) between begin and end — plus latch-acquire
+ * wait per LatchTable slot and split/defrag counts. Spans land in a
+ * per-thread lock-free span ring and fold into:
  *
  *  - a contention profiler: per-latch-slot wait histograms plus
  *    aggregate wait/conflict counters (which latch is hot, and how
@@ -32,8 +33,8 @@
  *
  * Off cost: every hot-path entry point starts with the same relaxed
  * obs::enabled() load the counters use and returns immediately when
- * metrics are off; the profiler, its rings, and the pm-layer phase
- * hook are only ever materialised after the first enabled spanBegin().
+ * metrics are off; the profiler and its rings are only ever
+ * materialised after the first enabled spanBegin().
  *
  * Thread safety: the span free functions touch only thread-local state
  * plus lock-free/atomic profiler structures; recording is safe from
@@ -57,11 +58,6 @@
 #include "pm/phase.h"
 
 namespace fasp::obs {
-
-/** Sub-phase buckets per span: one per pm::Component (index 0 = the
- *  untagged remainder, so the buckets always sum to the wall time). */
-inline constexpr std::size_t kSpanComponents =
-    static_cast<std::size_t>(pm::Component::NumComponents);
 
 /** Latch slots the contention profiler tracks; must cover
  *  LatchTable's stripe count (asserted where the hook is wired). */
@@ -97,7 +93,7 @@ struct TxSpan
 
     /** Wall ns per pm::Component, settled at every PhaseScope
      *  boundary; sums to wallNs (index 0 holds untagged time). */
-    std::array<std::uint64_t, kSpanComponents> phaseNs{};
+    std::array<std::uint64_t, pm::kNumComponents> phaseNs{};
 
     std::uint32_t latchWaits = 0;     //!< acquires that spun or failed
     std::uint32_t latchConflicts = 0; //!< acquires that failed outright
@@ -162,7 +158,7 @@ struct EngineSpanSummary
     std::uint64_t commits = 0;
     std::uint64_t aborts = 0;
     HistogramSnapshot wallNs;
-    std::array<std::uint64_t, kSpanComponents> phaseNs{};
+    std::array<std::uint64_t, pm::kNumComponents> phaseNs{};
     std::uint64_t latchWaits = 0;
     std::uint64_t latchWaitNs = 0;
     std::uint64_t latchConflicts = 0;
@@ -237,8 +233,7 @@ class SpanProfiler
     SpanProfiler();
 
     /** The profiler the hot-path free functions record into. Lazily
-     *  constructed (and the pm phase hook lazily installed) on first
-     *  use, i.e. never in a metrics-off run. */
+     *  constructed on first use, i.e. never in a metrics-off run. */
     static SpanProfiler &global();
 
     // -- Recording (hot-path free functions + deterministic fixtures) --
@@ -323,7 +318,7 @@ class SpanProfiler
         std::atomic<std::uint64_t> commits{0};
         std::atomic<std::uint64_t> aborts{0};
         Histogram wallNs;
-        std::array<std::atomic<std::uint64_t>, kSpanComponents>
+        std::array<std::atomic<std::uint64_t>, pm::kNumComponents>
             phaseNs{};
         std::atomic<std::uint64_t> latchWaits{0};
         std::atomic<std::uint64_t> latchWaitNs{0};

@@ -21,17 +21,6 @@ roundUpPow2(std::size_t v)
     return p;
 }
 
-/** Calling thread's active site tag. Thread-local so concurrent
- *  clients' SiteScopes never clobber each other. */
-thread_local const char *t_site = nullptr;
-
-/** Monotonic per-thread persistence counters (see threadFlushCount).
- *  Never reset: readers take deltas, so the span profiler and the
- *  bench layer cannot clobber each other. */
-thread_local std::uint64_t t_flushTotal = 0;
-thread_local std::uint64_t t_fenceTotal = 0;
-thread_local std::uint64_t t_persistModelNs = 0;
-
 } // namespace
 
 PmDevice::PmDevice(const PmConfig &config)
@@ -47,49 +36,6 @@ PmDevice::PmDevice(const PmConfig &config)
 }
 
 PmDevice::~PmDevice() = default;
-
-const char *
-PmDevice::setSite(const char *site)
-{
-    const char *prev = t_site;
-    t_site = site;
-    return prev;
-}
-
-const char *
-PmDevice::site() const
-{
-    return t_site;
-}
-
-std::uint64_t
-PmDevice::threadFlushCount()
-{
-    return t_flushTotal;
-}
-
-std::uint64_t
-PmDevice::threadFenceCount()
-{
-    return t_fenceTotal;
-}
-
-std::uint64_t
-PmDevice::threadPersistModelNs()
-{
-    return t_persistModelNs;
-}
-
-void
-PmDevice::chargeModelNs(std::uint64_t ns)
-{
-    stats_.modelNs.fetch_add(ns, std::memory_order_relaxed);
-    t_persistModelNs += ns;
-    if (PhaseTracker *trk = phaseTracker())
-        trk->addModelNs(ns);
-    if (PmEventObserver *obs = observer())
-        obs->onPmModelNs(t_site, currentThreadComponent(), ns);
-}
 
 void
 PmDevice::checkRange(PmOffset off, std::size_t len) const
@@ -190,11 +136,9 @@ PmDevice::writeImpl(PmOffset off, const void *src, std::size_t len,
     }
 
     if (PersistencyChecker *chk = checker())
-        chk->onStore(off, len, scratch, index, t_site);
-    if (PmEventObserver *obs = observer()) {
-        if (!scratch)
-            obs->onPmStore(t_site, currentThreadComponent(), len);
-    }
+        chk->onStore(off, len, scratch, index, threadSite());
+    if (!scratch)
+        billStore(len);
 }
 
 bool
@@ -252,9 +196,8 @@ PmDevice::casU64(PmOffset off, std::uint64_t &expected,
         tags_[(cacheLineBase(off) / kCacheLineSize) & tagMask_].store(
             cacheLineBase(off) + 1, std::memory_order_relaxed);
         if (PersistencyChecker *chk = checker())
-            chk->onCasStore(off, index, t_site);
-        if (PmEventObserver *obs = observer())
-            obs->onPmStore(t_site, currentThreadComponent(), 8);
+            chk->onCasStore(off, index, threadSite());
+        billStore(8);
     } else {
         stats_.loads.fetch_add(1, std::memory_order_relaxed);
         stats_.loadBytes.fetch_add(8, std::memory_order_relaxed);
@@ -309,7 +252,7 @@ PmDevice::read(PmOffset off, void *dst, std::size_t len)
     // V6: a plain read must not consume a PCAS dirty-tagged word (one
     // relaxed load inside onRead when no word is tagged).
     if (PersistencyChecker *chk = checker())
-        chk->onRead(off, len, eventCount(), t_site);
+        chk->onRead(off, len, eventCount(), threadSite());
 
     auto *out = static_cast<std::uint8_t *>(dst);
     if (config_.mode == PmMode::Direct || dirtyLineCount() == 0) {
@@ -370,9 +313,8 @@ PmDevice::chargeReadLatency(PmOffset off, std::size_t len)
         if (tags_[idx].load(std::memory_order_relaxed) != base + 1) {
             tags_[idx].store(base + 1, std::memory_order_relaxed);
             stats_.readMisses.fetch_add(1, std::memory_order_relaxed);
-            chargeModelNs(penalty);
-            if (PhaseTracker *trk = phaseTracker())
-                trk->countReadMiss();
+            stats_.modelNs.fetch_add(penalty, std::memory_order_relaxed);
+            billReadMiss(penalty);
         }
     }
 }
@@ -393,7 +335,7 @@ PmDevice::clflush(PmOffset off)
     if (config_.mode == PmMode::CacheSim) {
         // Fault injection: a dropped flush discards the dirty line
         // instead of writing it back, while every downstream effect
-        // (stats, checker, observer) still sees a successful flush.
+        // (stats, checker, ledger) still sees a successful flush.
         FlushDropper *dropper =
             flushDropper_.load(std::memory_order_acquire);
         bool drop = dropper && dropper->shouldDrop(base, index);
@@ -416,14 +358,11 @@ PmDevice::clflush(PmOffset off)
     }
 
     stats_.clflushes.fetch_add(1, std::memory_order_relaxed);
-    ++t_flushTotal;
-    chargeModelNs(config_.latency.pmWriteNs);
-    if (PhaseTracker *trk = phaseTracker())
-        trk->countFlush();
+    stats_.modelNs.fetch_add(config_.latency.pmWriteNs,
+                             std::memory_order_relaxed);
+    billFlush(config_.latency.pmWriteNs);
     if (PersistencyChecker *chk = checker())
-        chk->onFlush(base, index, t_site);
-    if (PmEventObserver *obs = observer())
-        obs->onPmFlush(t_site, currentThreadComponent());
+        chk->onFlush(base, index, threadSite());
 }
 
 void
@@ -448,14 +387,11 @@ PmDevice::sfence()
     mc::HookDepthGuard hook_depth;
     std::uint64_t index = raiseEvent(PmEvent::Fence);
     stats_.fences.fetch_add(1, std::memory_order_relaxed);
-    ++t_fenceTotal;
-    chargeModelNs(config_.latency.fenceNs);
-    if (PhaseTracker *trk = phaseTracker())
-        trk->countFence();
+    stats_.modelNs.fetch_add(config_.latency.fenceNs,
+                             std::memory_order_relaxed);
+    billFence(config_.latency.fenceNs);
     if (PersistencyChecker *chk = checker())
-        chk->onFence(index, t_site);
-    if (PmEventObserver *obs = observer())
-        obs->onPmFence(t_site, currentThreadComponent());
+        chk->onFence(index, threadSite());
 }
 
 void
@@ -479,7 +415,7 @@ PmDevice::txCommitPoint()
 {
     mc::HookDepthGuard hook_depth; // checker internals, not a point
     if (PersistencyChecker *chk = checker())
-        chk->onTxCommitPoint(eventCount(), t_site);
+        chk->onTxCommitPoint(eventCount(), threadSite());
 }
 
 void
@@ -487,7 +423,7 @@ PmDevice::txEnd(bool committed)
 {
     mc::HookDepthGuard hook_depth; // checker internals, not a point
     if (PersistencyChecker *chk = checker())
-        chk->onTxEnd(committed, eventCount(), t_site);
+        chk->onTxEnd(committed, eventCount(), threadSite());
 }
 
 void
@@ -497,7 +433,7 @@ PmDevice::txRelease(PmOffset off, std::size_t len)
     if (chk == nullptr)
         return;
     mc::HookDepthGuard hook_depth; // checker internals, not a point
-    chk->onTxRelease(off, len, eventCount(), t_site);
+    chk->onTxRelease(off, len, eventCount(), threadSite());
 }
 
 void

@@ -18,19 +18,23 @@
  * is what makes both the latency accounting and the crash simulation
  * sound.
  *
+ * Every store, flush, fence, read miss and modelled-latency charge is
+ * counted in the device's PmStats and billed once to the calling
+ * thread's PM ledger (pm/phase.h), under its innermost PhaseScope
+ * Component and its SiteScope tag.
+ *
  * Thread safety: the data path (write/read/clflush/sfence and the
  * counters they maintain) is safe to drive from many threads at once —
  * counters are relaxed atomics, the simulated dirty-line cache is
- * sharded under per-shard mutexes, and the site tag plus the per-thread
- * latency accumulator are thread-local. *Logical* exclusion over the
- * bytes themselves (no two threads mutating one page) is the engines'
- * job, via the pager's per-page latch table; the device deliberately
- * does not serialize byte access, so a latch-protocol bug shows up as a
- * real data race under ThreadSanitizer instead of being masked here.
+ * sharded under per-shard mutexes, and the site tag and the ledger are
+ * per-thread. *Logical* exclusion over the bytes themselves (no two
+ * threads mutating one page) is the engines' job, via the pager's
+ * per-page latch table; the device deliberately does not serialize
+ * byte access, so a latch-protocol bug shows up as a real data race
+ * under ThreadSanitizer instead of being masked here.
  * Crash simulation (crash/reviveAfterCrash/setCrashInjector) and
- * configuration (setLatency/setChecker/setPhaseTracker) are
- * quiescent-state operations: call them only while no other thread is
- * accessing the device.
+ * configuration (setLatency/setChecker) are quiescent-state operations:
+ * call them only while no other thread is accessing the device.
  */
 
 #ifndef FASP_PM_DEVICE_H
@@ -104,38 +108,10 @@ struct LineAlignedAlloc
 };
 
 /**
- * Observer of the device's persistence events, attributed to the code
- * site (SiteScope tag) and execution phase (PhaseScope Component) of
- * the *issuing thread*. Unlike the PhaseTracker this interface is
- * driven concurrently from every client thread, so implementations
- * must be thread-safe (the obs layer's PmAttribution uses relaxed
- * atomics). Attach/detach is quiescent-only, like the checker.
- */
-class PmEventObserver
-{
-  public:
-    virtual ~PmEventObserver() = default;
-
-    /** A (non-scratch) store of @p bytes bytes was issued. */
-    virtual void onPmStore(const char *site, Component phase,
-                           std::size_t bytes) = 0;
-
-    /** A clflush/clwb was issued. */
-    virtual void onPmFlush(const char *site, Component phase) = 0;
-
-    /** An sfence was issued. */
-    virtual void onPmFence(const char *site, Component phase) = 0;
-
-    /** @p ns of modelled PM latency was charged. */
-    virtual void onPmModelNs(const char *site, Component phase,
-                             std::uint64_t ns) = 0;
-};
-
-/**
  * Fault-injection hook: silently discard the durability effect of
  * selected flushes (CacheSim mode only). A dropped flush still raises
- * the event, charges latency, and is reported to the checker and
- * observer — the software believes the line persisted — but the dirty
+ * the event, charges latency, and is reported to the checker and the
+ * ledger — the software believes the line persisted — but the dirty
  * line is discarded instead of written back to the durable image. This
  * models a missing-flush bug the runtime ordering checker *cannot* see
  * (the flush instruction was issued); only an end-to-end oracle that
@@ -313,20 +289,6 @@ class PmDevice
      *  checker. */
     void markScratch(PmOffset off, std::size_t len);
 
-    /** Attach a persistence-event observer (nullptr to detach;
-     *  quiescent only). The observer sees every store/flush/fence and
-     *  modelled-latency charge, billed to the issuing thread's site
-     *  tag and phase Component, from every thread. */
-    void setObserver(PmEventObserver *observer)
-    {
-        observer_.store(observer, std::memory_order_release);
-    }
-
-    PmEventObserver *observer() const
-    {
-        return observer_.load(std::memory_order_acquire);
-    }
-
     /**
      * Commit-protocol annotations for the checker. txBegin() opens the
      * *calling thread's* transaction write set (nested calls join the
@@ -354,13 +316,13 @@ class PmDevice
      *  without a checker (one pointer load) or outside a transaction. */
     void txRelease(PmOffset off, std::size_t len);
 
-    /** Install @p site as the calling thread's active site tag recorded
-     *  into checker traces, returning the previous tag (see SiteScope).
-     *  The tag is thread-local: concurrent clients never see each
-     *  other's tags. */
-    const char *setSite(const char *site);
+    /** Install @p site as the calling thread's site tag — recorded
+     *  into checker traces and billed in the ledger — returning the
+     *  previous tag (see SiteScope). The tag is thread-local:
+     *  concurrent clients never see each other's tags. */
+    const char *setSite(const char *site) { return setThreadSite(site); }
 
-    const char *site() const;
+    const char *site() const { return threadSite(); }
 
     // --- Crash simulation ----------------------------------------------
 
@@ -417,34 +379,6 @@ class PmDevice
 
     PmStats &stats() { return stats_; }
     const PmStats &stats() const { return stats_; }
-
-    /** Attach a per-component tracker (nullptr to detach; quiescent
-     *  only). The tracker itself is single-threaded: attach one only
-     *  for single-threaded measurement runs. */
-    void setPhaseTracker(PhaseTracker *tracker)
-    {
-        tracker_.store(tracker, std::memory_order_release);
-    }
-
-    PhaseTracker *phaseTracker() const
-    {
-        return tracker_.load(std::memory_order_acquire);
-    }
-
-    /** Monotonic clflush count issued by the *calling thread* since
-     *  thread start, across every device. Never reset — readers take
-     *  deltas, so independent consumers (the span profiler, the bench
-     *  layer) cannot clobber each other's brackets. */
-    static std::uint64_t threadFlushCount();
-
-    /** Monotonic sfence count issued by the calling thread. */
-    static std::uint64_t threadFenceCount();
-
-    /** Monotonic modelled PM latency charged to the calling thread,
-     *  across every device. Multi-client benches take per-client
-     *  deltas of it to model PM stalls that overlap across clients on
-     *  real hardware. */
-    static std::uint64_t threadPersistModelNs();
 
     /** Forget which lines the simulated CPU cache holds, so the next
      *  read of every line is a miss (used between benchmark phases). */
@@ -506,7 +440,6 @@ class PmDevice
                    bool scratch);
     std::uint64_t raiseEvent(PmEvent event);
     void chargeReadLatency(PmOffset off, std::size_t len);
-    void chargeModelNs(std::uint64_t ns);
     void checkRange(PmOffset off, std::size_t len) const;
     void checkAlive() const;
 
@@ -524,17 +457,16 @@ class PmDevice
     std::size_t tagMask_;
 
     PmStats stats_;
-    std::atomic<PhaseTracker *> tracker_{nullptr};
     std::atomic<CrashInjector *> injector_{nullptr};
     std::atomic<FlushDropper *> flushDropper_{nullptr};
     std::atomic<PersistencyChecker *> checker_{nullptr};
-    std::atomic<PmEventObserver *> observer_{nullptr};
     std::atomic<std::uint64_t> eventCount_{0};
     std::atomic<bool> crashed_{false};
     std::unique_ptr<Rng> crashRng_;
 };
 
-/** RAII site tag: names the code region for checker traces. */
+/** RAII site tag: names the code region for checker traces and the
+ *  ledger's site cells. @p site must be a literal (see setThreadSite). */
 class SiteScope
 {
   public:

@@ -28,16 +28,7 @@ flushWordLines(PmDevice &device, std::size_t count, OffOf offOf)
     }
 }
 
-/** Calling thread's monotonic PCAS counters (see pcasThreadCounters). */
-thread_local PcasThreadCounters t_pcasCounters;
-
 } // namespace
-
-const PcasThreadCounters &
-pcasThreadCounters()
-{
-    return t_pcasCounters;
-}
 
 Pcas::Pcas(PmDevice &device, PmOffset descRegionOff,
            const PcasConfig &config)
@@ -116,7 +107,7 @@ Pcas::helpClear(PmOffset off, std::uint64_t tagged)
     device_.sfence();
     clearTag(off, tagged);
     stats_.helps.fetch_add(1, std::memory_order_relaxed);
-    ++t_pcasCounters.helps;
+    billPcasHelp();
     return pcasStrip(tagged);
 }
 
@@ -145,9 +136,7 @@ Pcas::cas(PmOffset off, std::uint64_t oldVal, std::uint64_t newVal)
     for (unsigned attempt = 0; attempt < config_.maxRetries;
          ++attempt) {
         stats_.casAttempts.fetch_add(1, std::memory_order_relaxed);
-        ++t_pcasCounters.attempts;
-        if (attempt > 0)
-            ++t_pcasCounters.retries;
+        billPcasAttempt(attempt > 0);
         if (rollInjectedFail()) {
             stats_.casInjected.fetch_add(1, std::memory_order_relaxed);
             continue;
@@ -211,9 +200,7 @@ Pcas::mwcas(const MwcasEntry *entries, std::size_t count)
     for (unsigned attempt = 0; attempt < config_.maxRetries;
          ++attempt) {
         stats_.mwcasAttempts.fetch_add(1, std::memory_order_relaxed);
-        ++t_pcasCounters.attempts;
-        if (attempt > 0)
-            ++t_pcasCounters.retries;
+        billPcasAttempt(attempt > 0);
         if (rollInjectedFail()) {
             stats_.mwcasInjected.fetch_add(1,
                                            std::memory_order_relaxed);

@@ -177,24 +177,6 @@ struct PcasStats
     }
 };
 
-/**
- * Monotonic per-thread PCAS activity counters, across every Pcas
- * instance the calling thread drives. Never reset: readers take deltas
- * (the span profiler brackets a transaction with two reads), so
- * independent consumers cannot clobber each other. Plain thread-local
- * integers — no atomics, no obs dependency; obs pulls, pm never pushes.
- */
-struct PcasThreadCounters
-{
-    std::uint64_t attempts = 0; //!< cas()+mwcas() attempt iterations
-    std::uint64_t retries = 0;  //!< attempts beyond the first per call
-    std::uint64_t helps = 0;    //!< foreign dirty tags helped to
-                                //!< durability (flush+fence+clear)
-};
-
-/** The calling thread's PCAS counters (read-only view). */
-const PcasThreadCounters &pcasThreadCounters();
-
 /** Outcome of one cas()/mwcas() call. */
 enum class PcasResult : std::uint8_t {
     Ok,        //!< published and durable

@@ -67,7 +67,6 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
 {
     pm::SiteScope site(device_, "NvwalLog::commitTx");
     device_.txBegin();
-    pm::PhaseTracker *tracker = device_.phaseTracker();
     struct FramePlan
     {
         PageId pid;
@@ -81,7 +80,7 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
 
     // (1) Differential-log computation (Figure 8 "NVWAL Computation").
     {
-        PhaseScope scope(tracker, Component::NvwalCompute);
+        PhaseScope scope(Component::NvwalCompute);
         for (const NvwalDirtyPage &page : pages) {
             FramePlan plan;
             plan.pid = page.pid;
@@ -124,7 +123,7 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
 
     // (2) Persistent-heap allocation (Figure 8 "Heap Management").
     {
-        PhaseScope scope(tracker, Component::HeapMgmt);
+        PhaseScope scope(Component::HeapMgmt);
         for (FramePlan &plan : plans) {
             auto off = heap_.pmalloc(
                 static_cast<std::uint32_t>(plan.bytes.size()));
@@ -137,7 +136,7 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
     // (3) Store + flush the frames, fence, then the commit frame
     // (Figure 8 "Log Flush").
     {
-        PhaseScope scope(tracker, Component::LogFlush);
+        PhaseScope scope(Component::LogFlush);
         for (const FramePlan &plan : plans) {
             device_.write(plan.off, plan.bytes.data(),
                           plan.bytes.size());
@@ -155,7 +154,7 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
         storeU32(commit + 20, crc32c(commit, 20));
         PmOffset commit_off;
         {
-            PhaseScope heap_scope(tracker, Component::HeapMgmt);
+            PhaseScope heap_scope(Component::HeapMgmt);
             auto res = heap_.pmalloc(sizeof(commit));
             if (!res.isOk())
                 return res.status();
@@ -172,7 +171,7 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
 
     // (4) Volatile WAL-index construction (Figure 8 "Misc").
     {
-        PhaseScope scope(tracker, Component::WalIndex);
+        PhaseScope scope(Component::WalIndex);
         for (const FramePlan &plan : plans) {
             index_[plan.pid].push_back(FrameLoc{
                 plan.seq, plan.off,
@@ -233,8 +232,7 @@ Status
 NvwalLog::checkpoint()
 {
     pm::SiteScope site(device_, "NvwalLog::checkpoint");
-    pm::PhaseTracker *tracker = device_.phaseTracker();
-    PhaseScope scope(tracker, Component::Checkpoint);
+    PhaseScope scope(Component::Checkpoint);
 
     std::vector<PageId> pids;
     pids.reserve(index_.size());

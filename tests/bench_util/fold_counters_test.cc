@@ -154,7 +154,7 @@ TEST_F(FoldCountersTest, RtmPinnedAndForcedToFallBack)
     cfg.kind = EngineKind::Fast;
     cfg.inPlaceCommitVia = InPlaceCommitVia::Rtm;
     cfg.rtm.abortProbability = 1.0; // every attempt aborts
-    cfg.rtmRetriesBeforeFallback = 2;
+    cfg.rtm.maxRetries = 2;
     EngineCounters before, after;
     runMeasured(cfg, before, after);
 

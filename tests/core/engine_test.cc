@@ -436,7 +436,7 @@ TEST(FastEngineTest, RtmAbortInjectionStillCommits)
     cfg.inPlaceCommitVia = InPlaceCommitVia::Rtm;
     cfg.rtm.abortProbability = 0.9;
     cfg.rtm.seed = 77;
-    cfg.rtmRetriesBeforeFallback = 4; // force frequent fallbacks
+    cfg.rtm.maxRetries = 4; // force frequent fallbacks
     auto engine = Engine::create(device, cfg, true);
     ASSERT_TRUE(engine.isOk());
     auto tree = (*engine)->createTree(1);

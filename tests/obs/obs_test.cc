@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit and stress tests of the observability layer: histogram bucket
- * boundaries / quantiles / merge, registry stability, PM-event
- * attribution (phase + site tables, slot overflow), concurrent
- * recording from many threads, and the span profiler (ring accounting,
+ * boundaries / quantiles / merge, registry stability, folding PM-ledger
+ * windows into the PhaseLedger, concurrent recording from many threads,
+ * and the span profiler (ring accounting,
  * contention/heat folding, outlier reservoir, metrics-off negative
  * path).
  */
@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,90 +157,23 @@ TEST(MetricsRegistryTest, NamesResolveToStableAddresses)
     EXPECT_EQ(reg.counters().size(), 1u);
 }
 
-// --- PmAttribution -------------------------------------------------------
-
-TEST(PmAttributionTest, BillsPhaseAndSite)
-{
-    PmAttribution attr;
-    attr.onPmStore("siteA", pm::Component::LogFlush, 64);
-    attr.onPmStore("siteA", pm::Component::LogFlush, 32);
-    attr.onPmFlush("siteA", pm::Component::LogFlush);
-    attr.onPmFence("siteB", pm::Component::Checkpoint);
-    attr.onPmModelNs("siteB", pm::Component::Checkpoint, 300);
-
-    PmCellSnapshot lf = attr.phase(pm::Component::LogFlush);
-    EXPECT_EQ(lf.stores, 2u);
-    EXPECT_EQ(lf.storeBytes, 96u);
-    EXPECT_EQ(lf.flushes, 1u);
-    EXPECT_EQ(lf.fences, 0u);
-
-    PmCellSnapshot cp = attr.phase(pm::Component::Checkpoint);
-    EXPECT_EQ(cp.fences, 1u);
-    EXPECT_EQ(cp.modelNs, 300u);
-    EXPECT_TRUE(attr.phase(pm::Component::Defrag).empty());
-
-    auto sites = attr.sites();
-    ASSERT_EQ(sites.size(), 2u);
-    EXPECT_EQ(sites[0].first, "siteA");
-    EXPECT_EQ(sites[0].second.stores, 2u);
-    EXPECT_EQ(sites[0].second.flushes, 1u);
-    EXPECT_EQ(sites[1].first, "siteB");
-    EXPECT_EQ(sites[1].second.modelNs, 300u);
-
-    attr.reset();
-    EXPECT_TRUE(attr.phase(pm::Component::LogFlush).empty());
-}
-
-TEST(PmAttributionTest, NullSiteBilledAsUntagged)
-{
-    PmAttribution attr;
-    attr.onPmFlush(nullptr, pm::Component::None);
-    auto sites = attr.sites();
-    ASSERT_EQ(sites.size(), 1u);
-    EXPECT_EQ(sites[0].first, "(untagged)");
-    EXPECT_EQ(sites[0].second.flushes, 1u);
-}
-
-TEST(PmAttributionTest, ContentEqualTagsShareOneSlot)
-{
-    // Identical literals can have distinct addresses across TUs; the
-    // table must fall back to content equality.
-    PmAttribution attr;
-    std::string a = "same-site", b = "same-site";
-    ASSERT_NE(a.c_str(), b.c_str());
-    attr.onPmFlush(a.c_str(), pm::Component::None);
-    attr.onPmFlush(b.c_str(), pm::Component::None);
-    auto sites = attr.sites();
-    ASSERT_EQ(sites.size(), 1u);
-    EXPECT_EQ(sites[0].second.flushes, 2u);
-}
-
-TEST(PmAttributionTest, SlotTableOverflowFoldsIntoOverflowSite)
-{
-    PmAttribution attr;
-    std::deque<std::string> tags; // stable c_str() addresses
-    for (std::size_t i = 0; i < PmAttribution::kMaxSites + 10; ++i) {
-        tags.push_back("site-" + std::to_string(i));
-        attr.onPmFlush(tags.back().c_str(), pm::Component::None);
-    }
-    auto sites = attr.sites();
-    ASSERT_EQ(sites.size(), PmAttribution::kMaxSites + 1);
-    EXPECT_EQ(sites.back().first, "(overflow)");
-    EXPECT_EQ(sites.back().second.flushes, 10u);
-    std::uint64_t total = 0;
-    for (const auto &[name, cell] : sites)
-        total += cell.flushes;
-    EXPECT_EQ(total, PmAttribution::kMaxSites + 10);
-}
+// --- PhaseLedger -------------------------------------------------------
 
 TEST(PhaseLedgerTest, FoldAccumulatesPerEngine)
 {
     PhaseLedger::global().reset();
-    PmAttribution attr;
-    attr.onPmFlush("s", pm::Component::LogFlush);
-    PhaseLedger::global().fold("ENGINE_A", attr);
-    PhaseLedger::global().fold("ENGINE_A", attr); // sweep: accumulate
-    PhaseLedger::global().fold("ENGINE_B", attr);
+    pm::PhaseTracker window;
+    window.start();
+    {
+        pm::PhaseScope phase(pm::Component::LogFlush);
+        const char *prev = pm::setThreadSite("s");
+        pm::billFlush(0);
+        pm::setThreadSite(prev);
+    }
+    window.stop();
+    PhaseLedger::global().fold("ENGINE_A", window);
+    PhaseLedger::global().fold("ENGINE_A", window); // sweep: accumulate
+    PhaseLedger::global().fold("ENGINE_B", window);
 
     auto entries = PhaseLedger::global().entries();
     ASSERT_EQ(entries.size(), 2u);
@@ -249,6 +181,7 @@ TEST(PhaseLedgerTest, FoldAccumulatesPerEngine)
     EXPECT_EQ(entries[0].engine, "ENGINE_A");
     EXPECT_EQ(entries[0].phases[lf].flushes, 2u);
     ASSERT_EQ(entries[0].sites.size(), 1u);
+    EXPECT_EQ(entries[0].sites[0].first, "s");
     EXPECT_EQ(entries[0].sites[0].second.flushes, 2u);
     EXPECT_EQ(entries[1].engine, "ENGINE_B");
     EXPECT_EQ(entries[1].phases[lf].flushes, 1u);
@@ -266,43 +199,52 @@ TEST(ObsStressTest, ConcurrentRecordingFromManyThreads)
     MetricsRegistry reg;
     Counter &counter = reg.counter("stress.ops");
     Histogram &hist = reg.histogram("stress.latency");
-    PmAttribution attr;
     static const char *kSites[] = {"stress.a", "stress.b", "stress.c"};
+    pm::PhaseTracker window;
+    window.start();
 
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
+        threads.emplace_back([&] {
             for (std::size_t i = 0; i < kOpsPerThread; ++i) {
                 counter.inc();
                 hist.record(i % 5000);
-                const char *site = kSites[i % 3];
-                auto phase = static_cast<pm::Component>(
-                    i % PmAttribution::kNumPhases);
-                attr.onPmStore(site, phase, 64);
-                attr.onPmFlush(site, phase);
-                attr.onPmFence(site, phase);
-                attr.onPmModelNs(site, phase, 10);
+                pm::PhaseScope phase(static_cast<pm::Component>(
+                    i % pm::kNumComponents));
+                const char *prev = pm::setThreadSite(kSites[i % 3]);
+                pm::billStore(64);
+                pm::billFlush(10);
+                pm::billFence(0);
+                pm::setThreadSite(prev);
                 // Concurrent registry lookups must also be safe.
                 if (i % 4096 == 0)
                     reg.counter("stress.ops").inc();
             }
         });
     }
+    // A window read while the clients bill must be race-free too.
+    pm::PhaseTracker probe;
+    probe.start();
+    probe.stop();
     for (auto &th : threads)
         th.join();
+    window.stop();
 
     constexpr std::uint64_t kOps = kThreads * kOpsPerThread;
     EXPECT_GE(counter.value(), kOps);
     EXPECT_EQ(hist.count(), kOps);
 
-    std::uint64_t phase_flushes = 0;
-    for (std::size_t i = 0; i < PmAttribution::kNumPhases; ++i)
-        phase_flushes +=
-            attr.phase(static_cast<pm::Component>(i)).flushes;
-    EXPECT_EQ(phase_flushes, kOps);
+    pm::PmCell phases;
+    for (std::size_t i = 0; i < pm::kNumComponents; ++i)
+        phases += window.phase(static_cast<pm::Component>(i));
+    EXPECT_EQ(phases.flushes, kOps);
+    EXPECT_EQ(phases.fences, kOps);
+    EXPECT_EQ(phases.storeBytes, 64 * kOps);
+    EXPECT_EQ(phases.modelNs, 10 * kOps);
+    EXPECT_EQ(phases.scopes, kOps);
 
     std::uint64_t site_flushes = 0;
-    auto sites = attr.sites();
+    auto sites = window.sites();
     EXPECT_EQ(sites.size(), 3u);
     for (const auto &[name, cell] : sites)
         site_flushes += cell.flushes;

@@ -336,7 +336,7 @@ class CrashSweepTest : public ::testing::TestWithParam<SweepCase>
         cfg.volatileCachePages = 512;
         if (GetParam().forceFallback) {
             cfg.rtm.abortProbability = 1.0;
-            cfg.rtmRetriesBeforeFallback = 1;
+            cfg.rtm.maxRetries = 1;
             cfg.pcas.failProbability = 1.0;
             cfg.pcas.maxRetries = 1;
         }

@@ -285,7 +285,7 @@ Soak::engineConfig(bool forceFallback) const
     cfg.volatileCachePages = 512;
     if (forceFallback) {
         cfg.rtm.abortProbability = 1.0;
-        cfg.rtmRetriesBeforeFallback = 1;
+        cfg.rtm.maxRetries = 1;
         cfg.pcas.failProbability = 1.0;
         cfg.pcas.maxRetries = 1;
     }

@@ -39,31 +39,40 @@ main(int argc, char **argv)
     for (std::uint64_t v : {0u, 1u, 5u, 5u, 900u, 1500u, 70000u})
         hist.record(v);
 
-    obs::PmAttribution fast_attr;
-    fast_attr.onPmStore("SlotHeaderLog::commit", pm::Component::LogFlush,
-                        64);
-    fast_attr.onPmFlush("SlotHeaderLog::commit",
-                        pm::Component::LogFlush);
-    fast_attr.onPmFence("SlotHeaderLog::commit",
-                        pm::Component::LogFlush);
-    fast_attr.onPmModelNs("SlotHeaderLog::commit",
-                          pm::Component::LogFlush, 750);
-    fast_attr.onPmFlush("FaspTransaction::commitInPlace",
-                        pm::Component::Atomic64BWrite);
-    fast_attr.onPmModelNs("FaspTransaction::commitInPlace",
-                          pm::Component::Atomic64BWrite, 300);
-    fast_attr.onPmStore(nullptr, pm::Component::Checkpoint, 128);
+    // PM-ledger fixture: one window per engine, billed as PmDevice bills
+    // (each event to the innermost phase and the current site tag).
+    auto billAt = [](pm::Component comp, const char *site, auto &&bill) {
+        pm::PhaseScope phase(comp);
+        const char *prev = pm::setThreadSite(site);
+        bill();
+        pm::setThreadSite(prev);
+    };
+    pm::PhaseTracker fast_window;
+    fast_window.start();
+    billAt(pm::Component::LogFlush, "SlotHeaderLog::commit", [] {
+        pm::billStore(64);
+        pm::billFlush(750);
+        pm::billFence(0);
+    });
+    billAt(pm::Component::Atomic64BWrite, "FaspTransaction::commitInPlace",
+           [] { pm::billFlush(300); });
+    billAt(pm::Component::Checkpoint, nullptr, [] { pm::billStore(128); });
+    fast_window.stop();
 
-    obs::PmAttribution nvwal_attr;
-    nvwal_attr.onPmFlush("NvwalLog::commitTx", pm::Component::LogFlush);
-    nvwal_attr.onPmFence("NvwalLog::commitTx", pm::Component::LogFlush);
-    nvwal_attr.onPmModelNs("NvwalLog::commitTx",
-                           pm::Component::HeapMgmt, 1200);
+    pm::PhaseTracker nvwal_window;
+    nvwal_window.start();
+    billAt(pm::Component::LogFlush, "NvwalLog::commitTx", [] {
+        pm::billFlush(0);
+        pm::billFence(0);
+    });
+    billAt(pm::Component::HeapMgmt, "NvwalLog::commitTx",
+           [] { pm::billReadMiss(1200); });
+    nvwal_window.stop();
 
     obs::PhaseLedger ledger;
-    ledger.fold("FAST", fast_attr);
-    ledger.fold("FAST", fast_attr); // latency sweep: accumulates
-    ledger.fold("NVWAL", nvwal_attr);
+    ledger.fold("FAST", fast_window);
+    ledger.fold("FAST", fast_window); // latency sweep: accumulates
+    ledger.fold("NVWAL", nvwal_window);
 
     obs::RecoveryLedger recovery;
     obs::RecoveryLedger::Sample fast_rec;
