@@ -142,10 +142,8 @@ main(int argc, char **argv)
         config.pcas.seed = 1234;
         BenchResult result = runInsertBench(config);
 
-        std::uint64_t pcas_commits = result.pcasStats.casCommits +
-                                     result.pcasStats.mwcasCommits;
-        std::uint64_t pcas_attempts = result.pcasStats.casAttempts +
-                                      result.pcasStats.mwcasAttempts;
+        std::uint64_t pcas_commits = result.pcasStats.casCommits;
+        std::uint64_t pcas_attempts = result.pcasStats.casAttempts;
         double commits_total = static_cast<double>(
             result.engineStats.inPlaceCommits +
             result.engineStats.logCommits);
@@ -209,11 +207,11 @@ main(int argc, char **argv)
         const pm::PcasStats &ps = result.pcasStats;
         pcas_classes.addRow(
             {Table::fmt(static_cast<std::uint64_t>(clients)),
-             Table::fmt(ps.casAttempts + ps.mwcasAttempts),
-             Table::fmt(ps.casCommits + ps.mwcasCommits),
-             Table::fmt(ps.casInjected + ps.mwcasInjected),
-             Table::fmt(ps.casConflicts + ps.mwcasConflicts),
-             Table::fmt(ps.casExhausted + ps.mwcasExhausted),
+             Table::fmt(ps.casAttempts),
+             Table::fmt(ps.casCommits),
+             Table::fmt(ps.casInjected),
+             Table::fmt(ps.casConflicts),
+             Table::fmt(ps.casExhausted),
              Table::fmt(ps.helps),
              Table::fmt(result.engineStats.pcasFallbacks)});
         std::vector<std::string> cause_row;

@@ -8,6 +8,7 @@
 
 #include "btree/btree.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/fasp_engine.h"
 #include "obs/metrics.h"
 #include "pager/latch_table.h"
@@ -31,6 +32,34 @@ autoDeviceSize(const MtConfig &config)
     size = (size + (1u << 20) - 1) & ~((std::size_t{1} << 20) - 1);
     return size;
 }
+
+/**
+ * Conflict-abort retry backoff: sleep a uniform 1..N µs, N doubling
+ * per consecutive conflict. Clients that back off in lock-step keep
+ * failing each other's shared-to-exclusive upgrades (latches are held
+ * to commit); the random draw breaks the symmetry, and the per-client
+ * seed keeps runs reproducible. The sleep is not charged as active
+ * time — on real hardware the other client's core makes progress
+ * during it.
+ */
+class RetryBackoff
+{
+  public:
+    explicit RetryBackoff(std::uint64_t seed) : jitter_(seed) {}
+
+    void wait()
+    {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(1 + jitter_.next() % bound_us_));
+        bound_us_ = std::min<std::uint64_t>(bound_us_ * 2, 4096);
+    }
+
+    void reset() { bound_us_ = 1; }
+
+  private:
+    Rng jitter_;
+    std::uint64_t bound_us_ = 1;
+};
 
 /** Calling thread's CPU time in ns. */
 std::uint64_t
@@ -73,7 +102,7 @@ clientLoop(Engine &engine, btree::BTree tree, const MtConfig &config,
     const std::uint64_t model_start = pm::threadModelNs();
     std::uint64_t cpu_start = threadCpuNs();
 
-    std::uint64_t backoff_us = 0;
+    RetryBackoff backoff(config.seed + 1000 * (tid + 1) + 7);
     while (out.committed < config.txnsPerThread) {
         std::uint64_t key = keys.next();
         values.next(value);
@@ -85,17 +114,11 @@ clientLoop(Engine &engine, btree::BTree tree, const MtConfig &config,
                 tree, key, std::span<const std::uint8_t>(value));
         } catch (const LatchConflict &) {
             // Conflict-abort: the transaction rolled back; retry the
-            // same key from scratch after an exponential backoff, so a
-            // conflicting transaction stuck behind the scheduler (or a
-            // commit mutex) gets the cycles to finish. The sleep is
-            // not charged as active time — on real hardware the other
-            // client's core makes progress during it.
+            // same key from scratch after a backoff, so a conflicting
+            // transaction stuck behind the scheduler (or a commit
+            // mutex) gets the cycles to finish.
             out.retries++;
-            backoff_us = backoff_us ? std::min<std::uint64_t>(
-                                          backoff_us * 2, 256)
-                                    : 1;
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(backoff_us));
+            backoff.wait();
             continue;
         }
         if (status.code() == StatusCode::AlreadyExists)
@@ -103,7 +126,7 @@ clientLoop(Engine &engine, btree::BTree tree, const MtConfig &config,
         if (!status.isOk())
             faspFatal("mt bench insert failed: %s",
                       status.toString().c_str());
-        backoff_us = 0;
+        backoff.reset();
         out.keys.push_back(key);
         out.committed++;
         if (txn_hist) {
@@ -329,7 +352,7 @@ ycsbClientLoop(Engine &engine, btree::BTree tree,
     const std::uint64_t model_start = pm::threadModelNs();
     std::uint64_t cpu_start = threadCpuNs();
 
-    std::uint64_t backoff_us = 0;
+    RetryBackoff backoff(config.seed + 1000 * (tid + 1) + 7);
     while (out.ops < config.opsPerThread) {
         workload::YcsbOpSpec op = wl.next();
         values.next(value);
@@ -348,11 +371,7 @@ ycsbClientLoop(Engine &engine, btree::BTree tree,
                 break;
             } catch (const LatchConflict &) {
                 out.retries++;
-                backoff_us = backoff_us ? std::min<std::uint64_t>(
-                                              backoff_us * 2, 256)
-                                        : 1;
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(backoff_us));
+                backoff.wait();
             }
         }
         if (!status.isOk())
@@ -360,7 +379,7 @@ ycsbClientLoop(Engine &engine, btree::BTree tree,
                       workload::ycsbOpName(op.type),
                       static_cast<unsigned long long>(op.key),
                       status.toString().c_str());
-        backoff_us = 0;
+        backoff.reset();
         out.opCounts[static_cast<std::size_t>(op.type)]++;
         out.ops++;
         out.opNs.push_back((threadCpuNs() - op_cpu0) +

@@ -146,12 +146,9 @@ foldCounters(Engine &engine, const EngineCounters &before)
         d(r.fallbacks, r0.fallbacks) + pcas_fallbacks);
     if (now.commitViaPcas)
         add("core.pcas.commits", d(e.inPlaceCommits, e0.inPlaceCommits));
-    add("core.pcas.mwcas_commits", d(p.mwcasCommits, p0.mwcasCommits));
     add("core.pcas.fallbacks", pcas_fallbacks);
-    add("core.pcas.conflicts", d(p.casConflicts, p0.casConflicts) +
-                                   d(p.mwcasConflicts, p0.mwcasConflicts));
-    add("core.pcas.exhausted", d(p.casExhausted, p0.casExhausted) +
-                                   d(p.mwcasExhausted, p0.mwcasExhausted));
+    add("core.pcas.conflicts", d(p.casConflicts, p0.casConflicts));
+    add("core.pcas.exhausted", d(p.casExhausted, p0.casExhausted));
 
     add("htm.commits", d(r.commits, r0.commits));
     add("htm.fallbacks", d(r.fallbacks, r0.fallbacks));

@@ -66,7 +66,7 @@ BTree::create(TxPageIO &io, TreeId id)
         return root.status();
     PageIO &root_io = io.page(*root, /*for_write=*/true);
     page::init(root_io, PageType::Leaf, 0, kInvalidPageId,
-               io.maxLeafSlots() != 0 ? io.maxLeafSlots()
+               io.maxLeafSlots() != 0 ? page::kInPlaceReservedSlots
                                       : adaptiveReserve(0));
 
     std::uint8_t payload[12];
@@ -548,7 +548,7 @@ BTree::splitPage(TxPageIO &io, PageId pid, std::uint64_t pending_key)
     }
     std::uint16_t reserve =
         leaf && io.maxLeafSlots() != 0
-            ? io.maxLeafSlots()
+            ? page::kInPlaceReservedSlots
             : page::clampReserve(io.pageSize(),
                                  adaptiveReserve(move_count),
                                  moved_bytes, move_count);

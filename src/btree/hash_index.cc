@@ -25,6 +25,14 @@ makePidPayload(std::uint64_t key, PageId pid, std::uint8_t out[12])
     storeU32(out + 8, pid);
 }
 
+/** Slot reservation of a fresh bucket page: a capped (FAST) leaf
+ *  commits in place, so it keeps both slot-array lines record-free. */
+std::uint16_t
+bucketReserve(const TxPageIO &io)
+{
+    return io.maxLeafSlots() != 0 ? page::kInPlaceReservedSlots : 0;
+}
+
 } // namespace
 
 std::uint64_t
@@ -62,7 +70,7 @@ HashIndex::create(TxPageIO &io, TreeId id, std::uint32_t buckets)
             return head.status();
         PageIO &leaf = io.page(*head, /*for_write=*/true);
         page::init(leaf, PageType::Leaf, 0, kInvalidPageId,
-                   io.maxLeafSlots());
+                   bucketReserve(io));
 
         std::uint8_t payload[12];
         makePidPayload(b, *head, payload);
@@ -276,7 +284,7 @@ HashIndex::insert(TxPageIO &io, std::uint64_t key,
         return fresh.status();
     PageIO &leaf = io.page(*fresh, /*for_write=*/true);
     page::init(leaf, PageType::Leaf, 0, bucket.head,
-               io.maxLeafSlots());
+               bucketReserve(io));
     FASP_RETURN_IF_ERROR(page::insertRecord(
         leaf, key, std::span<const std::uint8_t>(payload)));
 

@@ -78,7 +78,8 @@ class TxPageIO
      * Leaf-page slot-count cap, 0 = unlimited. FAST restricts leaf
      * slot headers to one cache line so the in-place commit's atomic
      * write always suffices (paper §4.2: at most (64-12)/2 records per
-     * leaf); pages split early once they reach the cap.
+     * leaf); pages split early once they reach the cap. A capped leaf
+     * reserves page::kInPlaceReservedSlots.
      */
     virtual std::uint16_t maxLeafSlots() const { return 0; }
 };

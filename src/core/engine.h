@@ -61,10 +61,11 @@ const char *engineKindName(EngineKind kind);
 
 /** How FAST publishes a single-page commit's new slot header. */
 enum class InPlaceCommitVia : std::uint8_t {
-    /** Persistent CAS / bounded PMwCAS (DESIGN.md §14): word-granular
-     *  publication, torn-line tolerant, no HTM requirement, and no
-     *  shared line-lock table — concurrent commits to different pages
-     *  never serialize on each other. */
+    /** One persistent CAS of header word 0 over a double-buffered
+     *  slot array (DESIGN.md §14): word-granular publication, torn-line
+     *  tolerant, no HTM requirement, and no shared line-lock table —
+     *  concurrent commits to different pages never serialize on each
+     *  other. */
     Pcas,
     /** The paper's HTM path: a single-cache-line RTM region publishes
      *  the header, one clflush makes it durable. Relies on the
@@ -86,9 +87,8 @@ struct EngineConfig
     htm::RtmConfig rtm{.maxRetries = 64};
 
     /** FAST's in-place publication primitive. Defaults to PCAS; the
-     *  RTM path is kept for the ablation benches and for page sizes
-     *  above pm::kPcasMaxPageSize, where the PMwCAS descriptor bit
-     *  could alias a real slot offset. */
+     *  RTM path is kept for the ablation benches and the multi-client
+     *  scaling comparison that decides between the two. */
     InPlaceCommitVia inPlaceCommitVia = InPlaceCommitVia::Pcas;
 
     /** PCAS failure-injection / retry policy (FAST + PCAS only). */

@@ -1,10 +1,8 @@
 #include "core/fasp_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 
-#include "common/byte_io.h"
 #include "common/logging.h"
 #include "obs/span.h"
 #include "page/slotted_page.h"
@@ -20,10 +18,9 @@ using pm::PhaseScope;
 FaspEngine::FaspEngine(pm::PmDevice &device, const EngineConfig &cfg,
                        const pager::Superblock &sb)
     : Engine(device, cfg, sb), log_(device, sb), rtm_(device, cfg.rtm),
-      pcas_(device, sb.pcasRegionOff(), cfg.pcas),
+      pcas_(device, cfg.pcas),
       commitViaPcas_(cfg.kind == EngineKind::Fast &&
-                     cfg.inPlaceCommitVia == InPlaceCommitVia::Pcas &&
-                     sb.pageSize <= pm::kPcasMaxPageSize),
+                     cfg.inPlaceCommitVia == InPlaceCommitVia::Pcas),
       bitmapIO_(bitmap_), allocator_(bitmapIO_, sb)
 {
     FASP_ASSERT(cfg.kind == EngineKind::Fast ||
@@ -49,16 +46,6 @@ FaspEngine::recover(wal::RecoveryBreakdown &breakdown)
     // every log_ access in the program is provably under it.
     MutexLock logLock(&logMutex_);
 
-    // (0) Resolve in-flight PMwCAS descriptors first (roll forward /
-    // back), so log replay and free-list rebuild below never read a
-    // header word holding a descriptor pointer (DESIGN.md §14).
-    auto pcas_started = std::chrono::steady_clock::now();
-    pcas_.recover();
-    breakdown.repairNs += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - pcas_started)
-            .count());
-
     auto result = log_.recover(&breakdown);
     if (!result.isOk())
         return result.status();
@@ -83,8 +70,8 @@ FaspEngine::recover(wal::RecoveryBreakdown &breakdown)
     pager::Pager::loadBitmap(device_, sb_, bitmap_);
 
     // A crash between a PCAS publish and its lazily persisted clear
-    // leaves flag bits in durable header words; strip them now that
-    // the bitmap says which pages are live.
+    // leaves the flag bit in a durable header word 0; strip it now
+    // that the bitmap says which pages are live.
     sweepHeaderTags();
     breakdown.repairNs += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -99,56 +86,27 @@ FaspEngine::sweepHeaderTags()
     pm::SiteScope site(device_, "FaspEngine::sweepHeaderTags");
     std::uint64_t swept = 0;
     for (PageId pid = sb_.directoryPid; pid < sb_.pageCount; ++pid) {
-        // Only the directory and allocated data pages can carry tags;
-        // the PMwCAS descriptor pages in between are never targets.
-        if (pid > sb_.directoryPid && pid < sb_.firstDataPid())
-            continue;
         if (pid > sb_.directoryPid && !allocator_.isAllocated(pid))
             continue;
-        // Tags live only in the first line: the PCAS commit's CAS set
-        // is bounded by the one-cache-line shadow header.
+        // Only slotted pages take PCAS publishes, and only in word 0;
+        // on overflow/meta pages bit 63 of that word is data. The type
+        // is readable even from a tagged word 0: the flag is bit 63,
+        // the top bit of the level field.
         PmOffset off = sb_.pageOffset(pid);
-        std::array<std::uint8_t, kCacheLineSize> line{};
-        device_.read(off, line.data(), line.size());
-        // Only slotted pages take PCAS publishes; overflow/meta pages
-        // hold raw bytes whose top bits are data, not protocol flags.
-        // The type nibble (bytes 4-5 of word 0) is readable even when
-        // word 0 is tagged — the flags occupy bits 62/63 only.
-        auto type = static_cast<page::PageType>(
-            loadU16(line.data() + page::kOffFlags) & 0x0f);
+        FaspPageIO io(device_, off, sb_.pageSize,
+                      /*write_through=*/false);
+        page::PageType type = page::pageType(io);
         if (type != page::PageType::Leaf &&
             type != page::PageType::Internal)
             continue;
-        // Bound the strip to the slot-header extent: only those words
-        // are ever in a PCAS set. Past headerBytes(nrec) the line may
-        // hold record content on a full page (FASH leaves and internal
-        // pages do not reserve the whole first line the way FAST
-        // leaves do), where bits 62/63 are payload. nrec is readable
-        // even from a tagged word 0 — the flags sit in byte 7 — and a
-        // tagged word 0 already carries the committed new value.
-        std::uint16_t nrec =
-            loadU16(line.data() + page::kOffNumRecords);
-        std::size_t header_words =
-            std::min<std::size_t>(
-                page::headerBytes(nrec) + 7, kCacheLineSize) /
-            8;
-        bool dirty = false;
-        for (std::size_t w = 0; w < header_words; ++w) {
-            std::uint64_t v = loadU64(line.data() + w * 8);
-            if ((v & pm::kPcasFlagMask) == 0)
-                continue;
-            // A descriptor pointer cannot survive Pcas::recover();
-            // anything left is a dirty-tagged value, which being in
-            // the durable image is by definition durable — strip.
-            // fasp-analyze: allow(v1s) -- every store sets `dirty`,
-            // and the dirty branch below always clflushes the line;
-            // the analyzer cannot correlate the flag with the store.
-            device_.writeU64(off + w * 8, pm::pcasStrip(v));
-            dirty = true;
-            ++swept;
-        }
-        if (dirty)
-            device_.clflush(off);
+        // A tagged word 0 is in the durable image, so its value is
+        // durable by definition: strip the flag.
+        std::uint64_t word = io.durableWord0();
+        if (!pm::pcasTagged(word))
+            continue;
+        device_.writeU64(off, pm::pcasStrip(word));
+        device_.clflush(off);
+        ++swept;
     }
     if (swept > 0)
         device_.sfence();
@@ -383,34 +341,29 @@ FaspTransaction::rollback()
     obs::spanEnd(/*committed=*/false, nullptr);
 }
 
+bool
+FaspTransaction::inPlaceEligible(const FaspPageIO &io) const
+{
+    // PCAS publishes one 8-byte word, RTM one cache line (paper §4.2).
+    return engine_.commitViaPcas_
+               ? io.oneWordCommittable()
+               : io.shadowBytes().size() <= kCacheLineSize;
+}
+
 Status
 FaspTransaction::commitInPlace(PageState &st)
 {
     pm::SiteScope site(engine_.device_, "FaspTransaction::commitInPlace");
     // (i) Persist the in-place record writes (Figure 7). With PCAS the
-    // header bytes beyond the old durable extent ride along: they are
-    // invisible until the commit word publishes the new record count,
-    // so they persist like record content, shrinking the CAS set to
-    // the words whose *visible* bytes change.
+    // new slot array rides along in the buffer readers do not use: it
+    // stays invisible until word 0 switches to it, so it persists like
+    // record content, under the same fence.
     {
         PhaseScope phase(Component::FlushRecord);
-        bool flushed = false;
-        if (st.io->contentDirty()) {
-            st.io->flushDirtyRanges();
-            flushed = true;
-        }
+        bool flushed = st.io->flushDirtyRanges() > 0;
         if (engine_.commitViaPcas_) {
-            auto header = st.io->shadowBytes();
-            std::size_t old_extent = st.io->baseBytes().size();
-            if (header.size() > old_extent) {
-                engine_.device_.write(st.io->pageOff() + old_extent,
-                                      header.data() + old_extent,
-                                      header.size() - old_extent);
-                engine_.device_.flushRange(st.io->pageOff() +
-                                               old_extent,
-                                           header.size() - old_extent);
-                flushed = true;
-            }
+            st.io->stageSlotArray();
+            flushed = true;
         }
         if (flushed)
             engine_.device_.sfence();
@@ -434,7 +387,9 @@ FaspTransaction::commitInPlaceRtm(PageState &st)
     // One RTM transaction publishes the new slot header, one clflush
     // makes it durable (paper §3.2). Correct only under the paper's
     // cache-line write-back atomicity assumption — see
-    // tests/recovery/atomicity_assumptions_test.cc.
+    // tests/recovery/atomicity_assumptions_test.cc. The header goes out
+    // in canonical layout, so a leaf last published in its second
+    // slot-array buffer returns to the first.
     PhaseScope phase(Component::Atomic64BWrite);
     // The record writes above must be fenced before the header
     // publish makes them reachable.
@@ -456,48 +411,14 @@ FaspTransaction::commitInPlaceRtm(PageState &st)
 Status
 FaspTransaction::commitInPlacePcas(PageState &st)
 {
-    // Publish the header's visible diff through persistent CAS: one
-    // word via Pcas::cas (one flush + one fence, like the RTM path,
-    // but word-atomic — no line-tear exposure and no shared line-lock
-    // table), several words via the bounded PMwCAS (DESIGN.md §14).
+    // One persistent CAS of header word 0 publishes the new nrec and
+    // contentStart and switches readers to the slot array staged above:
+    // one flush + one fence, like the RTM path, but word-atomic — no
+    // line-tear exposure and no shared line-lock table (DESIGN.md §14).
     PhaseScope phase(Component::Atomic64BWrite);
     engine_.device_.txCommitPoint();
-
-    auto header = st.io->shadowBytes();
-    auto base = st.io->baseBytes();
-    FASP_ASSERT(header.size() <= kCacheLineSize);
-    const PmOffset page_off = st.io->pageOff();
-
-    // Visible bytes: covered by both the old durable extent (readers
-    // guard on the old record count until the CAS lands) and the new
-    // header (bytes past it are dead under the new count — keep old).
-    std::size_t visible = std::min(base.size(), header.size());
-    std::array<pm::Pcas::MwcasEntry, pm::Pcas::kMaxMwcasWords> entries;
-    std::size_t count = 0;
-    for (std::size_t w = 0; w * 8 < visible; ++w) {
-        PmOffset word_off = page_off + w * 8;
-        std::uint64_t cur = engine_.device_.readU64(word_off);
-        std::uint64_t desired = cur;
-        auto *bytes = reinterpret_cast<std::uint8_t *>(&desired);
-        std::size_t end = std::min(visible, w * 8 + 8);
-        for (std::size_t b = w * 8; b < end; ++b)
-            bytes[b - w * 8] = header[b];
-        if (desired != cur) {
-            FASP_ASSERT(count < pm::Pcas::kMaxMwcasWords);
-            entries[count++] =
-                pm::Pcas::MwcasEntry{word_off, cur, desired};
-        }
-    }
-
-    pm::PcasResult result = pm::PcasResult::Ok;
-    if (count == 1) {
-        result = engine_.pcas_.cas(entries[0].off, entries[0].oldVal,
-                                   entries[0].newVal);
-    } else if (count > 1) {
-        result = engine_.pcas_.mwcas(entries.data(), count);
-    }
-    // count == 0: the visible header is byte-identical (the change
-    // lives entirely in the pre-flushed tail) — trivially committed.
+    pm::PcasResult result = engine_.pcas_.cas(
+        st.io->pageOff(), st.io->durableWord0(), st.io->publishedWord0());
     if (result != pm::PcasResult::Ok) {
         engine_.stats_.pcasFallbacks++;
         return Status(StatusCode::TxConflict,
@@ -604,12 +525,12 @@ FaspTransaction::commit()
                modified_count == 1 && allocs_.empty() &&
                frees_.empty() && !modified->fresh &&
                modified->io->headerDirty() &&
-               modified->io->shadowBytes().size() <= kCacheLineSize) {
+               inPlaceEligible(*modified->io)) {
         status = commitInPlace(*modified);
         commit_path = "in-place";
         if (status.code() == StatusCode::TxConflict) {
-            // RTM kept aborting: fall back to slot-header logging
-            // (paper §3.2 footnote 1).
+            // RTM kept aborting or the PCAS lost: fall back to
+            // slot-header logging (paper §3.2 footnote 1).
             if (auto *fr = engine_.recorder()) {
                 fr->append(obs::FlightEventType::Fallback,
                            engine_.recorderEngineCode(), id_, 0, 0);

@@ -4,12 +4,16 @@
  *
  * Runs in two modes (paper Section 4):
  *   FASH — every commit goes through the slot-header log.
- *   FAST — a transaction that modified exactly one page, allocated and
+ *   FAST — a transaction that modified exactly one leaf, allocated and
  *          freed nothing, and whose new slot header fits a cache line
- *          commits *in place*: one RTM transaction publishes the new
- *          header, one clflush makes it durable. Everything else falls
- *          back to slot-header logging, as does FAST itself when RTM
- *          exhausts its retry budget.
+ *          commits *in place*: the new slot array goes into the leaf's
+ *          second slot-array buffer, and one persistent CAS of header
+ *          word 0 — one clflush, one fence — switches readers to it
+ *          together with the new record count (DESIGN.md §14). The
+ *          paper's RTM publish of the whole header line stays
+ *          selectable (EngineConfig::inPlaceCommitVia). Everything else
+ *          falls back to slot-header logging, as does FAST itself when
+ *          the publish gives up.
  *
  * There is no DRAM buffer cache: the database pages in PM *are* the
  * buffer cache (the paper's PM-only buffer caching).
@@ -20,8 +24,8 @@
  * commit/rollback. Latches are acquired with a bounded spin only;
  * exhaustion throws LatchConflict, which rolls the transaction back so
  * the caller can retry — no hold-and-wait, hence no latch deadlock.
- * The in-place commit publishes its header via RTM while still holding
- * the page latch; logged commits additionally serialize on the engine
+ * The in-place commit publishes its header while still holding the
+ * page latch; logged commits additionally serialize on the engine
  * log mutex, since the slot-header log region (and its truncation) is
  * shared. Allocator bitmap updates take a dedicated mutex, always
  * nested inside the log mutex when both are held.
@@ -81,6 +85,7 @@ class FaspTransaction : public Transaction, public btree::TxPageIO
     enum class LatchMode : std::uint8_t { Shared, Exclusive };
 
     PageState &state(PageId pid);
+    bool inPlaceEligible(const FaspPageIO &io) const;
     Status commitInPlace(PageState &st);
     Status commitInPlacePcas(PageState &st);
     Status commitInPlaceRtm(PageState &st);
@@ -131,18 +136,17 @@ class FaspEngine : public Engine
     pm::Pcas &pcas() { return pcas_; }
     LatchTable &latches() { return latches_; }
 
-    /** True when single-page commits publish via PCAS (config says so
-     *  and the page size keeps header words flag-free). */
+    /** True when single-page commits publish via PCAS. */
     bool commitViaPcas() const { return commitViaPcas_; }
 
   private:
     friend class FaspTransaction;
 
-    /** Recovery pass over allocated pages stripping PCAS flag bits
-     *  left in durable header words by a crash between the tagged
-     *  publish and the (lazily persisted) tag clear. Returns the
-     *  number of words swept. Quiescent-only; requires allocMutex_
-     *  because it walks the freshly loaded bitmap. */
+    /** Recovery pass over allocated slotted pages stripping the PCAS
+     *  flag bit a crash between the tagged publish and the (lazily
+     *  persisted) tag clear left in header word 0. Returns the number
+     *  of words swept. Quiescent-only; requires allocMutex_ because it
+     *  walks the freshly loaded bitmap. */
     std::uint64_t sweepHeaderTags() REQUIRES(allocMutex_);
 
     /** Serializes logged commits: the slot-header log region (cursor,

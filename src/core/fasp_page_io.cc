@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/byte_io.h"
 #include "common/logging.h"
 #include "page/slotted_page.h"
 #include "pm/device.h"
@@ -13,7 +14,15 @@ FaspPageIO::FaspPageIO(pm::PmDevice &device, PmOffset page_off,
                        std::size_t page_size, bool write_through)
     : device_(device), pageOff_(page_off), pageSize_(page_size),
       writeThrough_(write_through)
-{}
+{
+    if (write_through)
+        return;
+    device_.read(pageOff_, fixed_.data(), fixed_.size());
+    std::uint16_t flags = loadU16(fixed_.data() + page::kOffFlags);
+    secondBuffer_ = (flags & kSecondBufferFlag) != 0;
+    storeU16(fixed_.data() + page::kOffFlags,
+             static_cast<std::uint16_t>(flags & ~kSecondBufferFlag));
+}
 
 void
 FaspPageIO::track(std::uint16_t off, std::size_t len)
@@ -37,14 +46,33 @@ FaspPageIO::track(std::uint16_t off, std::size_t len)
 void
 FaspPageIO::materializeShadow()
 {
+    FASP_ASSERT(!writeThrough_);
     if (!shadow_.empty())
         return;
-    std::uint16_t nrec = device_.readU16(pageOff_ + page::kOffNumRecords);
-    std::size_t bytes = page::headerBytes(nrec);
+    std::size_t bytes = page::headerBytes(
+        loadU16(fixed_.data() + page::kOffNumRecords));
     shadow_.resize(bytes);
-    device_.read(pageOff_, shadow_.data(), bytes);
+    readDurableHeader(0, shadow_.data(), bytes);
     durableHeaderEnd_ = static_cast<std::uint16_t>(bytes);
-    base_ = shadow_;
+}
+
+void
+FaspPageIO::readDurableHeader(std::uint16_t off, void *dst,
+                              std::size_t len) const
+{
+    auto *out = static_cast<std::uint8_t *>(dst);
+    if (off < page::kSlotArrayOff) {
+        std::size_t fixed =
+            std::min<std::size_t>(len, page::kSlotArrayOff - off);
+        std::memcpy(out, fixed_.data() + off, fixed);
+        out += fixed;
+        off = static_cast<std::uint16_t>(off + fixed);
+        len -= fixed;
+    }
+    if (len > 0) {
+        PmOffset shift = secondBuffer_ ? kCacheLineSize : 0;
+        device_.read(pageOff_ + off + shift, out, len);
+    }
 }
 
 void
@@ -56,7 +84,11 @@ FaspPageIO::readHeader(std::uint16_t off, void *dst,
         std::memcpy(dst, shadow_.data() + off, len);
         return;
     }
-    device_.read(pageOff_ + off, dst, len);
+    if (writeThrough_) {
+        device_.read(pageOff_ + off, dst, len);
+        return;
+    }
+    readDurableHeader(off, dst, len);
 }
 
 void
@@ -114,6 +146,43 @@ FaspPageIO::writeScratch(std::uint16_t off, const void *src,
     // them, which the lazy rebuild tolerates (paper §4.3). The scratch
     // write tells the persistency checker not to demand durability.
     device_.writeScratch(pageOff_ + off, src, len);
+}
+
+bool
+FaspPageIO::oneWordCommittable() const
+{
+    return page::headerBytes(page::reservedSlots(*this)) >=
+               2 * kCacheLineSize &&
+           durableHeaderEnd_ <= kCacheLineSize &&
+           shadow_.size() <= kCacheLineSize &&
+           loadU32(shadow_.data() + page::kOffAux) ==
+               loadU32(fixed_.data() + page::kOffAux);
+}
+
+void
+FaspPageIO::stageSlotArray()
+{
+    std::size_t len = shadow_.size() - page::kSlotArrayOff;
+    if (len == 0)
+        return; // the new header has no slots to stage
+    PmOffset staged = pageOff_ + page::kSlotArrayOff +
+                      (secondBuffer_ ? 0 : kCacheLineSize);
+    device_.write(staged, shadow_.data() + page::kSlotArrayOff, len);
+    device_.flushRange(staged, len);
+}
+
+std::uint64_t
+FaspPageIO::durableWord0() const
+{
+    std::uint64_t word = loadU64(fixed_.data());
+    return secondBuffer_ ? word | kSecondBufferBit : word;
+}
+
+std::uint64_t
+FaspPageIO::publishedWord0() const
+{
+    std::uint64_t word = loadU64(shadow_.data());
+    return secondBuffer_ ? word : word | kSecondBufferBit;
 }
 
 std::size_t

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "core/fasp_page_io.h"
 #include "forensics.h"
-#include "page/page_io.h"
 #include "page/slotted_page.h"
 #include "pager/pager.h"
 #include "pager/superblock.h"
@@ -212,10 +212,11 @@ Explorer::fsckSweep(pm::PmDevice &device, bool trustScratch,
         return;
     }
     const pager::Superblock &sb = sbr.value();
-    std::vector<std::uint8_t> buf(sb.pageSize);
     for (PageId pid = sb.firstDataPid(); pid < sb.pageCount; ++pid) {
-        device.read(sb.pageOffset(pid), buf.data(), buf.size());
-        page::BufferPageIO io(buf.data(), buf.size());
+        // The logical view: a FAST leaf may be reading its second
+        // slot-array buffer, which a raw image read would not follow.
+        core::FaspPageIO io(device, sb.pageOffset(pid), sb.pageSize,
+                            /*write_through=*/false);
         page::PageType t = page::pageType(io);
         if (t != page::PageType::Leaf && t != page::PageType::Internal)
             continue; // unallocated / overflow / meta

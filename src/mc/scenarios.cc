@@ -185,7 +185,10 @@ class EngineScenario : public Scenario
     std::array<std::string, kMaxThreads> failMsg_{};
 };
 
-/** N threads insert distinct keys into the same (seeded) leaf. */
+/** N threads insert distinct keys into the same (seeded) leaf. T0's
+ *  key lands between the seeds, so its commit shifts the slot array
+ *  and crash forks cover a publish of a rewritten array; the others
+ *  append. */
 class SamePageInsert final : public EngineScenario
 {
   public:
@@ -271,7 +274,7 @@ class SamePageInsert final : public EngineScenario
 
     static std::uint64_t keyFor(int tid)
     {
-        return 100 + static_cast<std::uint64_t>(tid);
+        return tid == 0 ? 15 : 100 + static_cast<std::uint64_t>(tid);
     }
 
     static std::vector<std::uint8_t> valueFor(int tid)
@@ -793,8 +796,8 @@ class BugLockElision final : public Scenario
  *  the window between publish-CAS, flush, fence and tag-clear only get
  *  schedule coverage here. Crash forks land at every explored fence —
  *  in particular the one between the publish flush and the tag clear —
- *  and the raw-image oracle runs Pcas::recover() plus the tag strip
- *  that FaspEngine::sweepHeaderTags() performs on real headers. */
+ *  and the raw-image oracle performs the tag strip that
+ *  FaspEngine::sweepHeaderTags() performs on real headers. */
 class PcasHeaderFlip final : public Scenario
 {
   public:
@@ -824,8 +827,7 @@ class PcasHeaderFlip final : public Scenario
         // First body() call of the schedule (main thread, before the
         // scheduler starts): bind the PCAS instance and seed the word.
         if (!pcas_) {
-            pcas_ = std::make_unique<pm::Pcas>(device, kDescOff,
-                                               pm::PcasConfig{});
+            pcas_ = std::make_unique<pm::Pcas>(device, pm::PcasConfig{});
             device.writeU64(kWordOff, kOld);
             device.clflush(kWordOff);
             device.sfence();
@@ -879,17 +881,9 @@ class PcasHeaderFlip final : public Scenario
     void verifyCrashRaw(pm::PmDevice &forkDevice,
                         std::vector<McViolation> &out) override
     {
-        // The scenario owns recovery for its word: descriptor pass,
-        // then the tag strip the engine's header sweep would do.
-        pm::Pcas recovered(forkDevice, kDescOff, pm::PcasConfig{});
-        recovered.recover();
-        std::uint64_t raw = forkDevice.readU64(kWordOff);
-        std::uint64_t v = pm::pcasStrip(raw);
-        if ((raw & pm::kPmwcasDescBit) != 0) {
-            out.push_back({McViolation::Kind::Recovery,
-                           "descriptor pointer survived recovery"});
-            return;
-        }
+        // The scenario owns recovery for its word: the tag strip the
+        // engine's header sweep would do.
+        std::uint64_t v = pm::pcasStrip(forkDevice.readU64(kWordOff));
         bool both = committed_[0].load(std::memory_order_relaxed) &&
                     committed_[1].load(std::memory_order_relaxed);
         if (v == kOld && !both)
@@ -903,10 +897,7 @@ class PcasHeaderFlip final : public Scenario
     }
 
   private:
-    /** Descriptor region at 4 KiB, the raced word right after it. */
-    static constexpr PmOffset kDescOff = 4096;
-    static constexpr PmOffset kWordOff =
-        kDescOff + pm::Pcas::kDescRegionBytes;
+    static constexpr PmOffset kWordOff = 4096;
 
     /** Header-shaped values: four packed u16 fields, flag-free. */
     static constexpr std::uint64_t kOld = 0x0001002000300040ull;

@@ -7,12 +7,15 @@
  *
  *   0x00 u16 nrec           number of records
  *   0x02 u16 contentStart   first used byte of the record content area
- *   0x04 u16 flags          PageType in the low 4 bits
+ *   0x04 u16 flags          PageType in bits 0-2; bit 3 belongs to the
+ *                           FAST page I/O layer, which never shows it;
+ *                           reserved slot count in bits 4-15
  *   0x06 u16 level          B-tree level (0 = leaf)
  *   0x08 u32 aux            internal: rightmost child; leaf: right
  *                           sibling (kInvalidPageId = none)
  *   0x0c      record offset array: u16 per slot, sorted by key
- *   ...       free gap (grows/shrinks at both ends)
+ *   ...       reserved slots, then the free gap (grows/shrinks at
+ *             both ends)
  *   ...       record content area, grows DOWN from P-8
  *   P-8  u16 freeHead       offset of first intra-page free block (0 =
  *                           empty); scratch, never failure-atomic
@@ -25,9 +28,13 @@
  * 4-byte block header).
  *
  * The slot header proper — the failure-atomicity unit — is the fixed
- * header plus the record offset array: headerBytes(nrec) bytes. A leaf
- * whose header fits in one cache line (nrec <= kMaxInPlaceSlots) is
- * eligible for the FAST in-place commit.
+ * header plus the record offset array: headerBytes(nrec) bytes. That
+ * is the layout every PageIO shows. A FAST leaf caps nrec at
+ * kMaxInPlaceSlots, so its header fits one cache line, and reserves
+ * kInPlaceReservedSlots, so the second cache line holds no record
+ * either: the FAST page I/O layer keeps a second copy of the offset
+ * array there and commits in place by switching between the two with
+ * one 8-byte write (DESIGN.md §14).
  */
 
 #ifndef FASP_PAGE_SLOTTED_PAGE_H
@@ -76,6 +83,12 @@ inline constexpr std::uint16_t kRecordHeaderBytes = 2;
 inline constexpr std::uint16_t kMaxInPlaceSlots =
     (kCacheLineSize - kSlotArrayOff) / 2;
 
+/** Slot reservation of a leaf that commits in place: two cache lines,
+ *  the live slot header plus the second slot-array buffer, so no record
+ *  is ever placed in either (only kMaxInPlaceSlots slots are used). */
+inline constexpr std::uint16_t kInPlaceReservedSlots =
+    (2 * kCacheLineSize - kSlotArrayOff) / 2;
+
 /** Size in bytes of the slot header (commit unit) for @p nrec records. */
 constexpr std::uint16_t
 headerBytes(std::uint16_t nrec)
@@ -107,9 +120,9 @@ std::uint16_t contentStart(const PageIO &io);
 PageType pageType(const PageIO &io);
 
 /** Reserved slot-array capacity (flags bits 4..15). FAST leaves
- *  reserve kMaxInPlaceSlots so the slot header occupies a fixed
- *  cache-line region and slot growth never competes with record
- *  space (paper §4.2: the leaf slot header is one cache line). */
+ *  reserve kInPlaceReservedSlots so the slot header occupies fixed
+ *  cache lines and slot growth never competes with record space
+ *  (paper §4.2: the leaf slot header is one cache line). */
 std::uint16_t reservedSlots(const PageIO &io);
 std::uint16_t level(const PageIO &io);
 std::uint32_t aux(const PageIO &io);

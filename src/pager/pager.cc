@@ -8,14 +8,8 @@
 #include "page/page_io.h"
 #include "page/slotted_page.h"
 #include "pm/device.h"
-#include "pm/pcas.h"
 
 namespace fasp::pager {
-
-static_assert(Superblock::kPcasRegionBytes ==
-                  pm::Pcas::kDescRegionBytes,
-              "superblock's positional descriptor region must match "
-              "the pcas layer's");
 
 BitmapSlot
 bitmapSlot(PageId pid)
@@ -110,8 +104,7 @@ Pager::format(pm::PmDevice &device, const FormatParams &params)
             "page size must be a power of two in [256, 32768] "
             "(page offsets are 16-bit)");
     }
-    if (device.size() <= params.logLen + params.frLen + 4 * psize +
-                             Superblock::kPcasRegionBytes)
+    if (device.size() <= params.logLen + params.frLen + 4 * psize)
         return statusInvalid("device too small for layout");
 
     std::uint64_t page_area =
@@ -132,13 +125,11 @@ Pager::format(pm::PmDevice &device, const FormatParams &params)
     sb.frOff = sb.logOff + sb.logLen;
     sb.frLen = params.frLen;
 
-    // Zero the meta pages (bitmap starts all-free; PMwCAS descriptor
-    // slots start Free).
+    // Zero the meta pages (bitmap starts all-free).
     device.memset(0, 0,
                   static_cast<std::size_t>(sb.firstDataPid()) * psize);
 
-    // Mark superblock, bitmap pages, directory, and the PMwCAS
-    // descriptor pages allocated.
+    // Mark superblock, bitmap pages and directory allocated.
     std::vector<std::uint8_t> bitmap(bitmap_bytes, 0);
     VectorBitmapIO bitmap_io(bitmap);
     for (PageId pid = 0; pid < sb.firstDataPid(); ++pid) {

@@ -36,19 +36,15 @@ struct Superblock
 {
     static constexpr std::uint64_t kMagic = 0x4641535044423031ull;
 
-    /** v3: pages [directoryPid+1, firstDataPid) hold the PMwCAS
-     *  descriptor region (DESIGN.md §14). The encoding is unchanged —
-     *  the region is positional — so the bump only fences off v2
-     *  images whose first data page sat where descriptors now live. */
-    static constexpr std::uint32_t kVersion = 3;
+    /** v4: data pages start right after the directory again, and
+     *  FAST leaves keep a second slot-array buffer in their second
+     *  cache line (DESIGN.md §14). The encoding is unchanged, so the
+     *  bump only fences off v3 images, whose data pages started one
+     *  page later and whose leaves may hold records in that line. */
+    static constexpr std::uint32_t kVersion = 4;
 
     /** Serialized footprint in bytes (fits one cache line exactly). */
     static constexpr std::size_t kEncodedBytes = 64;
-
-    /** Bytes reserved for PMwCAS descriptors (= pm::Pcas::
-     *  kDescRegionBytes; static_asserted in pager.cc to avoid the
-     *  include here). */
-    static constexpr std::uint64_t kPcasRegionBytes = 4096;
 
     std::uint32_t pageSize = 0;
     std::uint32_t pageCount = 0;
@@ -60,25 +56,8 @@ struct Superblock
     std::uint64_t frLen = 0;         //!< flight-recorder region length
                                      //!< (0 = no recorder region)
 
-    /** Pages the PMwCAS descriptor region occupies (>= 1; more than
-     *  one only below 4 KiB pages). */
-    std::uint32_t pcasPages() const
-    {
-        return static_cast<std::uint32_t>(
-            (kPcasRegionBytes + pageSize - 1) / pageSize);
-    }
-
-    /** First page of the PMwCAS descriptor region. */
-    PageId pcasPid() const { return directoryPid + 1; }
-
-    /** Device offset of the PMwCAS descriptor region. */
-    PmOffset pcasRegionOff() const { return pageOffset(pcasPid()); }
-
     /** First page id available for data (after meta pages). */
-    PageId firstDataPid() const
-    {
-        return directoryPid + 1 + pcasPages();
-    }
+    PageId firstDataPid() const { return directoryPid + 1; }
 
     Region logRegion() const { return Region{logOff, logLen}; }
 

@@ -308,36 +308,6 @@ PersistencyChecker::onTxEnd(bool committed, std::uint64_t eventIndex,
     ts.txActive = false;
 }
 
-void
-PersistencyChecker::onTxRelease(PmOffset off, std::size_t len,
-                                std::uint64_t eventIndex,
-                                const char *site)
-{
-    if (len == 0)
-        return;
-    MutexLock lk(&mu_);
-    ThreadState &ts = myState();
-    if (!ts.txActive)
-        return;
-    std::vector<PmOffset> released;
-    for (PmOffset base = cacheLineBase(off); base < off + len;
-         base += kCacheLineSize) {
-        if (ts.txMembers.erase(base) > 0)
-            released.push_back(base);
-    }
-    if (released.empty())
-        return;
-    checkLinesPersisted(released, ts, eventIndex, site);
-    for (PmOffset base : released)
-        ts.reported.erase(base);
-    ts.txLines.erase(
-        std::remove_if(ts.txLines.begin(), ts.txLines.end(),
-                       [&ts](PmOffset base) {
-                           return ts.txMembers.count(base) == 0;
-                       }),
-        ts.txLines.end());
-}
-
 bool
 PersistencyChecker::lineHasTaggedWord(PmOffset base) const
 {

@@ -109,13 +109,6 @@ class PersistencyChecker
     void onTxEnd(bool committed, std::uint64_t eventIndex,
                  const char *site);
 
-    /** The calling thread gives up exclusion over [off, off+len) before
-     *  its transaction ends (see PmDevice::txRelease): check the
-     *  write-set lines in the range as txEnd would, then drop them from
-     *  the write set. */
-    void onTxRelease(PmOffset off, std::size_t len,
-                     std::uint64_t eventIndex, const char *site);
-
     // --- PCAS dirty-tag tracking (driven by pm::pcas, DESIGN.md §14) ----
 
     /** A persistent CAS published a tagged (not-yet-durable) value into

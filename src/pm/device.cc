@@ -427,16 +427,6 @@ PmDevice::txEnd(bool committed)
 }
 
 void
-PmDevice::txRelease(PmOffset off, std::size_t len)
-{
-    PersistencyChecker *chk = checker();
-    if (chk == nullptr)
-        return;
-    mc::HookDepthGuard hook_depth; // checker internals, not a point
-    chk->onTxRelease(off, len, eventCount(), threadSite());
-}
-
-void
 PmDevice::crash()
 {
     FASP_ASSERT(config_.mode == PmMode::CacheSim);

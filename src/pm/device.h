@@ -307,15 +307,6 @@ class PmDevice
     void txCommitPoint();
     void txEnd(bool committed = true);
 
-    /** The calling thread's exclusion over [off, off+len) ends before
-     *  its transaction does (a PMwCAS descriptor slot going back to the
-     *  pool). Checks the write-set lines the range covers now, while
-     *  they are still exclusive — reporting any not yet fenced, as
-     *  txEnd() would — and drops them from the write set, so the next
-     *  owner's stores never land in this transaction's check. No-op
-     *  without a checker (one pointer load) or outside a transaction. */
-    void txRelease(PmOffset off, std::size_t len);
-
     /** Install @p site as the calling thread's site tag — recorded
      *  into checker traces and billed in the ledger — returning the
      *  previous tag (see SiteScope). The tag is thread-local:

@@ -101,7 +101,7 @@ struct PmCell
 struct ThreadTotals
 {
     std::array<PmCell, kNumComponents> phases{};
-    std::uint64_t pcasAttempts = 0; //!< cas()+mwcas() attempts
+    std::uint64_t pcasAttempts = 0; //!< cas() attempts
     std::uint64_t pcasRetries = 0;  //!< attempts beyond a call's first
     std::uint64_t pcasHelps = 0;    //!< foreign dirty tags helped to
                                     //!< durability

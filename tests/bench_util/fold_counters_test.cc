@@ -73,14 +73,9 @@ expectedCounters(const EngineCounters &before, const EngineCounters &after)
         {"core.pcas.commits",
          after.commitViaPcas ? delta(e0.inPlaceCommits, e.inPlaceCommits)
                              : 0},
-        {"core.pcas.mwcas_commits", delta(p0.mwcasCommits, p.mwcasCommits)},
         {"core.pcas.fallbacks", delta(e0.pcasFallbacks, e.pcasFallbacks)},
-        {"core.pcas.conflicts", delta(p0.casConflicts, p.casConflicts) +
-                                    delta(p0.mwcasConflicts,
-                                          p.mwcasConflicts)},
-        {"core.pcas.exhausted", delta(p0.casExhausted, p.casExhausted) +
-                                    delta(p0.mwcasExhausted,
-                                          p.mwcasExhausted)},
+        {"core.pcas.conflicts", delta(p0.casConflicts, p.casConflicts)},
+        {"core.pcas.exhausted", delta(p0.casExhausted, p.casExhausted)},
         {"htm.commits", delta(r0.commits, r.commits)},
         {"htm.fallbacks", delta(r0.fallbacks, r.fallbacks)},
         {"htm.aborts.explicit", delta(r0.abortsExplicit, r.abortsExplicit)},
@@ -184,7 +179,6 @@ TEST_F(FoldCountersTest, PcasCommits)
     auto folded = foldedCounters();
     EXPECT_EQ(folded, expectedCounters(before, after));
     EXPECT_GT(folded["core.pcas.commits"], 0u);
-    EXPECT_GT(folded["core.pcas.mwcas_commits"], 0u);
     EXPECT_EQ(folded.count("htm.commits"), 0u);
     EXPECT_EQ(folded.count("htm.fallbacks"), 0u);
 }

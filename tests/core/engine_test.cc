@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -15,7 +16,9 @@
 #include "core/buffered_engine.h"
 #include "core/engine.h"
 #include "core/fasp_engine.h"
+#include "page/slotted_page.h"
 #include "pm/device.h"
+#include "pm/phase.h"
 
 namespace fasp::core {
 namespace {
@@ -405,6 +408,92 @@ TEST(FastEngineTest, SplitFallsBackToSlotHeaderLogging)
     }
     EXPECT_GT((*engine)->stats().logCommits, logged_before);
     EXPECT_GT((*engine)->stats().inPlaceCommits, 0u);
+}
+
+// The paper's in-place commit cost (§3.2, Fig. 7): the record's lines
+// and the staged slot array's line under one fence, then one flush and
+// one fence to publish header word 0 — for every kind of single-record
+// commit, including those that shift the slot array.
+TEST(FastEngineTest, InPlaceCommitCostsOneFlushAndOneFence)
+{
+    PmConfig pm_cfg;
+    pm_cfg.size = 32u << 20;
+    PmDevice device(pm_cfg);
+    EngineConfig cfg;
+    cfg.kind = EngineKind::Fast;
+    auto created = Engine::create(device, cfg, true);
+    ASSERT_TRUE(created.isOk());
+    Engine &engine = **created;
+    auto tree = engine.createTree(1);
+    ASSERT_TRUE(tree.isOk());
+    for (std::uint64_t key = 10; key <= 100; key += 10) {
+        auto v = value(key, 48);
+        ASSERT_TRUE(engine.insert(*tree, key, asSpan(v)).isOk());
+    }
+
+    // Cache lines spanned by @p key's record in the one-leaf tree.
+    auto record_lines = [&](std::uint64_t key) -> std::uint64_t {
+        auto tx = engine.begin();
+        auto root = tree->rootPid(tx->pageIO());
+        EXPECT_TRUE(root.isOk());
+        page::PageIO &leaf = tx->pageIO().page(*root, false);
+        page::RecordRef ref =
+            page::record(leaf, page::lowerBound(leaf, key).slot);
+        tx->rollback();
+        std::uint64_t end =
+            ref.off + page::kRecordHeaderBytes + ref.payloadLen;
+        return (end - 1) / kCacheLineSize - ref.off / kCacheLineSize + 1;
+    };
+
+    struct Commit
+    {
+        const char *what;
+        std::uint64_t key;
+        bool erases;
+        std::function<Status()> run;
+    };
+    const auto v15 = value(15, 48), v200 = value(200, 48),
+               v50 = value(51, 64);
+    const Commit commits[] = {
+        {"middle insert", 15, false,
+         [&] { return engine.insert(*tree, 15, asSpan(v15)); }},
+        {"append", 200, false,
+         [&] { return engine.insert(*tree, 200, asSpan(v200)); }},
+        {"update", 50, false,
+         [&] { return engine.update(*tree, 50, asSpan(v50)); }},
+        {"delete", 30, true, [&] { return engine.erase(*tree, 30); }},
+    };
+    // Which slot-array buffer the leaf reads from, straight from PM.
+    auto second_buffer = [&] {
+        auto tx = engine.begin();
+        PageId root = *tree->rootPid(tx->pageIO());
+        tx->rollback();
+        return (device.readU16(engine.superblock().pageOffset(root) +
+                               page::kOffFlags) &
+                FaspPageIO::kSecondBufferFlag) != 0;
+    };
+    for (const Commit &c : commits) {
+        std::uint64_t in_place = engine.stats().inPlaceCommits;
+        bool was_second = second_buffer();
+        pm::PhaseTracker window;
+        window.start();
+        ASSERT_TRUE(c.run().isOk()) << c.what;
+        window.stop();
+        ASSERT_EQ(engine.stats().inPlaceCommits, in_place + 1) << c.what;
+        EXPECT_NE(second_buffer(), was_second)
+            << c.what << " must switch slot-array buffers";
+
+        using pm::Component;
+        EXPECT_EQ(window.flushCount(Component::Atomic64BWrite), 1u)
+            << c.what;
+        EXPECT_EQ(window.fenceCount(Component::Atomic64BWrite), 1u)
+            << c.what;
+        std::uint64_t lines = c.erases ? 0 : record_lines(c.key);
+        EXPECT_EQ(window.flushCount(Component::FlushRecord), lines + 1)
+            << c.what;
+        EXPECT_EQ(window.fenceCount(Component::FlushRecord), 1u)
+            << c.what;
+    }
 }
 
 TEST(FashEngineTest, NeverUsesInPlaceCommit)

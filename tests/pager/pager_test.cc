@@ -52,11 +52,8 @@ TEST(SuperblockTest, RoundTrip)
     EXPECT_EQ(loaded->directoryPid, 2u);
     EXPECT_EQ(loaded->logOff, 1024ull * 4096);
     EXPECT_EQ(loaded->logLen, 1u << 20);
-    // v3: one 4 KiB PMwCAS descriptor page sits between the directory
-    // and the first data page.
-    EXPECT_EQ(loaded->pcasPid(), 3u);
-    EXPECT_EQ(loaded->pcasPages(), 1u);
-    EXPECT_EQ(loaded->firstDataPid(), 4u);
+    // Data pages start right after the directory.
+    EXPECT_EQ(loaded->firstDataPid(), 3u);
 }
 
 TEST(SuperblockTest, DetectsCorruption)
@@ -138,8 +135,7 @@ TEST(PagerFormatTest, MetaPagesMarkedAllocated)
     for (PageId pid = 0; pid < sb->firstDataPid(); ++pid)
         EXPECT_TRUE(alloc.isAllocated(pid)) << "pid " << pid;
     EXPECT_FALSE(alloc.isAllocated(sb->firstDataPid()));
-    EXPECT_EQ(alloc.allocatedCount(),
-              sb->directoryPid + 1 + sb->pcasPages());
+    EXPECT_EQ(alloc.allocatedCount(), sb->directoryPid + 1);
 }
 
 TEST(PagerFormatTest, RejectsBadPageSize)

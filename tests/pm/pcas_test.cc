@@ -2,15 +2,14 @@
  * @file
  * Unit tests for the persistent CAS layer (DESIGN.md §14): the
  * dirty-flag protocol of cas(), helping semantics of read(), the V6/V7
- * checker couplings, PMwCAS all-or-nothing behaviour under an
- * exhaustive TornLines crash-point sweep, descriptor recovery, and a
- * multi-threaded stress run (the TSan CI leg executes this binary).
+ * checker couplings, atomicity under an exhaustive TornLines
+ * crash-point sweep, and a multi-threaded stress run (the TSan CI leg
+ * executes this binary).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -22,10 +21,7 @@
 namespace fasp::pm {
 namespace {
 
-constexpr PmOffset kDescOff = 1u << 16;
 constexpr PmOffset kWordA = 0;
-constexpr PmOffset kWordB = 64;
-constexpr PmOffset kWordC = 128;
 
 PmConfig
 makeConfig()
@@ -50,7 +46,7 @@ class PcasTest : public ::testing::Test
 {
   protected:
     PcasTest()
-        : device_(makeConfig()), pcas_(device_, kDescOff, PcasConfig{})
+        : device_(makeConfig()), pcas_(device_, PcasConfig{})
     {
         device_.setChecker(&checker_);
     }
@@ -148,90 +144,12 @@ TEST_F(PcasTest, UnclearedTagAtCleanShutdownIsV7)
     EXPECT_EQ(checker_.report().count(ViolationKind::UnclearedTag), 1u);
 }
 
-TEST_F(PcasTest, MwcasCommitsAllWordsAndIsCheckerClean)
-{
-    initWord(device_, kWordA, 1);
-    initWord(device_, kWordB, 2);
-    initWord(device_, kWordC, 3);
-    Pcas::MwcasEntry entries[] = {
-        {kWordC, 3, 33}, // deliberately unsorted
-        {kWordA, 1, 11},
-        {kWordB, 2, 22},
-    };
-    ASSERT_EQ(pcas_.mwcas(entries, 3), PcasResult::Ok);
-    EXPECT_EQ(pcas_.read(kWordA), 11u);
-    EXPECT_EQ(pcas_.read(kWordB), 22u);
-    EXPECT_EQ(pcas_.read(kWordC), 33u);
-    EXPECT_EQ(pcas_.stats().mwcasCommits.load(), 1u);
-
-    checker_.checkCleanShutdown(device_.eventCount());
-    EXPECT_TRUE(checker_.report().empty())
-        << checker_.report().toString();
-}
-
-TEST_F(PcasTest, MwcasWrongExpectedChangesNothing)
-{
-    initWord(device_, kWordA, 1);
-    initWord(device_, kWordB, 2);
-    Pcas::MwcasEntry entries[] = {
-        {kWordA, 1, 11},
-        {kWordB, 99, 22}, // stale expectation
-    };
-    EXPECT_EQ(pcas_.mwcas(entries, 2), PcasResult::Conflict);
-    EXPECT_EQ(pcas_.read(kWordA), 1u);
-    EXPECT_EQ(pcas_.read(kWordB), 2u);
-}
-
-// Regression: mwcas() returns its descriptor slot to the pool before
-// the caller's transaction ends, so another thread's next descriptor
-// write can dirty the slot's lines while the first transaction is
-// still open. The slot is settled against the first write set at
-// release; that transaction's txEnd must not blame it for the second
-// thread's stores with a V3 unflushed-store-at-commit.
-TEST_F(PcasTest, ReleasedDescriptorSlotLeavesTheWriteSet)
-{
-    initWord(device_, kWordA, 1);
-    initWord(device_, kWordB, 2);
-    device_.txBegin();
-    Pcas::MwcasEntry entries[] = {{kWordA, 1, 11}, {kWordB, 2, 22}};
-    ASSERT_EQ(pcas_.mwcas(entries, 2), PcasResult::Ok);
-
-    // Thread B takes the released slot 0 and writes its descriptor
-    // count inside its own transaction, not yet flushed.
-    std::thread other([this] {
-        device_.txBegin();
-        device_.writeU64(kDescOff + 8, 2);
-    });
-    other.join();
-
-    device_.txEnd(/*committed=*/true);
-    EXPECT_TRUE(checker_.report().empty())
-        << checker_.report().toString();
-}
-
-// The release check itself still runs: a slot line left unflushed by
-// its owner is reported when the slot goes back to the pool.
-TEST_F(PcasTest, ReleaseReportsAnUnflushedSlotLine)
-{
-    device_.txBegin();
-    device_.writeU64(kDescOff + 8, 2);
-    device_.txRelease(kDescOff, Pcas::kDescSlotBytes);
-    EXPECT_EQ(checker_.report().count(
-                  ViolationKind::UnflushedStoreAtCommit),
-              1u);
-    device_.clflush(kDescOff);
-    device_.sfence();
-    device_.txEnd(/*committed=*/true);
-    EXPECT_EQ(checker_.report().total(), 1u)
-        << checker_.report().toString();
-}
-
 // --- TornLines crash-point sweeps -------------------------------------------
 //
-// Crash at every persistence event a cas()/mwcas() raises, under the
+// Crash at every persistence event a cas() raises, under the
 // adversarial TornLines image composer, and check the protocol's core
 // promise: the durable image never exposes a state the recovery
-// contract cannot resolve to "all old" or "all new".
+// contract cannot resolve to "old" or "new".
 
 TEST(PcasCrashSweepTest, CasIsAtomicAtEveryCrashPoint)
 {
@@ -242,7 +160,7 @@ TEST(PcasCrashSweepTest, CasIsAtomicAtEveryCrashPoint)
         cfg.crashPolicy = CrashPolicy::TornLines;
         cfg.crashSeed = 1000 + k;
         PmDevice device(cfg);
-        Pcas pcas(device, kDescOff, PcasConfig{});
+        Pcas pcas(device, PcasConfig{});
         initWord(device, kWordA, kOld);
 
         PointCrashInjector injector(device.eventCount() + k);
@@ -253,9 +171,6 @@ TEST(PcasCrashSweepTest, CasIsAtomicAtEveryCrashPoint)
         } catch (const CrashException &) {
             std::uint64_t durable = 0;
             device.readDurable(kWordA, &durable, 8);
-            EXPECT_EQ(durable & kPmwcasDescBit, 0u)
-                << "single-word cas leaked a descriptor bit (k=" << k
-                << ")";
             std::uint64_t v = pcasStrip(durable);
             EXPECT_TRUE(v == kOld || v == kNew)
                 << "torn cas value " << v << " at crash point " << k;
@@ -264,75 +179,6 @@ TEST(PcasCrashSweepTest, CasIsAtomicAtEveryCrashPoint)
     }
     EXPECT_TRUE(completed)
         << "cas never ran to completion within the sweep bound";
-}
-
-TEST(PcasCrashSweepTest, MwcasIsAllOrNothingAtEveryCrashPoint)
-{
-    constexpr std::uint64_t kOld[3] = {1, 2, 3};
-    constexpr std::uint64_t kNew[3] = {11, 22, 33};
-    constexpr PmOffset kWords[3] = {kWordA, kWordB, kWordC};
-
-    bool completed = false;
-    bool sawForward = false;
-    bool sawBack = false;
-    for (std::uint64_t k = 0; k < 512 && !completed; ++k) {
-        PmConfig cfg = makeConfig();
-        cfg.crashPolicy = CrashPolicy::TornLines;
-        cfg.crashSeed = 2000 + k;
-        PmDevice device(cfg);
-        auto pcas = std::make_unique<Pcas>(device, kDescOff,
-                                           PcasConfig{});
-        for (int i = 0; i < 3; ++i)
-            initWord(device, kWords[i], kOld[i]);
-
-        Pcas::MwcasEntry entries[] = {
-            {kWords[0], kOld[0], kNew[0]},
-            {kWords[1], kOld[1], kNew[1]},
-            {kWords[2], kOld[2], kNew[2]},
-        };
-        PointCrashInjector injector(device.eventCount() + k);
-        device.setCrashInjector(&injector);
-        try {
-            ASSERT_EQ(pcas->mwcas(entries, 3), PcasResult::Ok);
-            completed = true;
-        } catch (const CrashException &) {
-            device.setCrashInjector(nullptr);
-            device.reviveAfterCrash();
-
-            // Post-crash: a fresh Pcas (the DRAM slot bitmap does not
-            // survive) rolls the descriptor forward or back.
-            pcas = std::make_unique<Pcas>(device, kDescOff,
-                                          PcasConfig{});
-            pcas->recover();
-            sawForward |= pcas->stats().recoveredForward.load() > 0;
-            sawBack |= pcas->stats().recoveredBack.load() > 0;
-
-            bool allOld = true, allNew = true;
-            std::uint64_t got[3];
-            for (int i = 0; i < 3; ++i) {
-                got[i] = pcas->read(kWords[i]);
-                allOld &= got[i] == kOld[i];
-                allNew &= got[i] == kNew[i];
-            }
-            EXPECT_TRUE(allOld || allNew)
-                << "mixed mwcas state at crash point " << k << ": {"
-                << got[0] << ", " << got[1] << ", " << got[2] << "}";
-
-            // Every descriptor slot must be Free again: a follow-up
-            // mwcas over the recovered state has to succeed.
-            Pcas::MwcasEntry redo[] = {
-                {kWords[0], got[0], 101},
-                {kWords[1], got[1], 102},
-            };
-            EXPECT_EQ(pcas->mwcas(redo, 2), PcasResult::Ok)
-                << "slot not reusable after recovery (k=" << k << ")";
-        }
-        device.setCrashInjector(nullptr);
-    }
-    EXPECT_TRUE(completed)
-        << "mwcas never ran to completion within the sweep bound";
-    EXPECT_TRUE(sawBack) << "sweep never exercised a roll-back";
-    EXPECT_TRUE(sawForward) << "sweep never exercised a roll-forward";
 }
 
 // --- Concurrency stress (run under TSan by the tsan CI job) -----------------
@@ -348,7 +194,7 @@ TEST(PcasStressTest, ConcurrentCasCountsEveryIncrement)
     ccfg.trackRedundantFlush = false; // helping races flush flushed lines
     PersistencyChecker checker(ccfg);
     device.setChecker(&checker);
-    Pcas pcas(device, kDescOff, PcasConfig{});
+    Pcas pcas(device, PcasConfig{});
     initWord(device, kWordA, 0);
 
     std::vector<std::thread> threads;
@@ -374,44 +220,6 @@ TEST(PcasStressTest, ConcurrentCasCountsEveryIncrement)
     EXPECT_TRUE(checker.report().empty())
         << checker.report().toString();
     device.setChecker(nullptr);
-}
-
-TEST(PcasStressTest, ConcurrentMwcasKeepsWordsInLockstep)
-{
-    constexpr unsigned kThreads = 4;
-    constexpr unsigned kIncrements = 100;
-
-    PmDevice device(makeConfig());
-    Pcas pcas(device, kDescOff, PcasConfig{});
-    initWord(device, kWordA, 0);
-    initWord(device, kWordB, 0);
-
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            for (unsigned i = 0; i < kIncrements; ++i) {
-                for (;;) {
-                    std::uint64_t a = pcas.read(kWordA);
-                    std::uint64_t b = pcas.read(kWordB);
-                    Pcas::MwcasEntry entries[] = {
-                        {kWordA, a, a + 1},
-                        {kWordB, b, b + 1},
-                    };
-                    if (pcas.mwcas(entries, 2) == PcasResult::Ok)
-                        break;
-                }
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-
-    // Both words advance together or not at all; the final state must
-    // show exactly one increment per successful mwcas on each word.
-    EXPECT_EQ(pcas.read(kWordA), kThreads * kIncrements);
-    EXPECT_EQ(pcas.read(kWordB), kThreads * kIncrements);
-    EXPECT_EQ(pcas.stats().mwcasCommits.load(),
-              kThreads * kIncrements);
 }
 
 } // namespace

@@ -17,11 +17,13 @@
  * Crash policies (see pm::CrashPolicy): DropAll is a clean power cut;
  * RandomLines persists an arbitrary subset of dirty lines (modelling
  * uncontrolled cache eviction before the failure); TornLines persists
- * arbitrary 8-byte words (PM whose atomic unit is 8 bytes). FAST's
- * in-place commit explicitly assumes cache-line write atomicity
- * (paper Section 3.2), so FAST is exercised under the line-granular
- * policies while FASH — which the paper offers exactly for
- * sub-cache-line atomic units — is additionally run under TornLines.
+ * arbitrary 8-byte words (PM whose atomic unit is 8 bytes). The
+ * paper's RTM in-place commit assumes cache-line write atomicity
+ * (Section 3.2); FAST's default in-place commit does not — it stages
+ * the new slot array in the leaf's second buffer and publishes it with
+ * one 8-byte PCAS of header word 0 (DESIGN.md §14) — so FAST runs
+ * under TornLines like FASH, which the paper offers exactly for
+ * sub-cache-line atomic units.
  *
  * The ForcedFallback cases pin FAST to its slot-header-log fallback
  * (both the PCAS and RTM in-place paths are given a one-attempt retry
@@ -29,8 +31,6 @@
  * the sweep walks every crash point of the
  * multi-page logged commit — including the CoW-defragmentation and
  * leaf-split window ops — under adversarial partial-line persistence.
- * The logged path never relies on line atomicity, so it must survive
- * TornLines too, unlike the in-place commit.
  */
 
 #include <gtest/gtest.h>
@@ -562,6 +562,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         SweepCase{EngineKind::Fast, CrashPolicy::DropAll},
         SweepCase{EngineKind::Fast, CrashPolicy::RandomLines},
+        SweepCase{EngineKind::Fast, CrashPolicy::TornLines},
         SweepCase{EngineKind::Fast, CrashPolicy::DropAll, true},
         SweepCase{EngineKind::Fast, CrashPolicy::RandomLines, true},
         SweepCase{EngineKind::Fast, CrashPolicy::TornLines, true},
@@ -575,10 +576,11 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{EngineKind::LegacyWal, CrashPolicy::RandomLines},
         SweepCase{EngineKind::Journal, CrashPolicy::DropAll},
         SweepCase{EngineKind::Journal, CrashPolicy::RandomLines},
-        // Delete/defrag-pressure windows (same legality rules: FAST's
-        // in-place commit assumes line atomicity, so TornLines only
-        // with the forced log fallback; FASH tolerates TornLines).
+        // Delete/defrag-pressure windows. FAST's PCAS in-place commit
+        // publishes one 8-byte word, so it runs under TornLines both
+        // in place and with the forced log fallback.
         SweepCase{EngineKind::Fast, CrashPolicy::DropAll, false, true},
+        SweepCase{EngineKind::Fast, CrashPolicy::TornLines, false, true},
         SweepCase{EngineKind::Fast, CrashPolicy::TornLines, true, true},
         SweepCase{EngineKind::Fash, CrashPolicy::TornLines, false,
                   true}),

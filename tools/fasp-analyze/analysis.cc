@@ -375,7 +375,7 @@ analyzeFunction(const Function &fn, const AnalysisOptions &opts,
             finding(op.line, "raw-cas",
                     "PmDevice::casU64 outside src/pm (bare CAS skips "
                     "the dirty-tag protocol; route through "
-                    "pm::Pcas::cas/mwcas)",
+                    "pm::Pcas::cas)",
                     Severity::Error);
         }
 

@@ -54,8 +54,9 @@ class PeriodicFlushDropper : public pm::FlushDropper
 };
 
 /** One crash-policy choice per round; forceFallback detours FAST's
- *  in-place commit through the slot-header log, the only mode in which
- *  FAST legally survives TornLines (paper §3.2). */
+ *  in-place commit through the slot-header log. FAST's PCAS in-place
+ *  commit publishes one 8-byte word, so it survives TornLines both in
+ *  place and through the log (DESIGN.md §14). */
 struct PolicyChoice
 {
     CrashPolicy policy;
@@ -69,6 +70,7 @@ legalPolicies(EngineKind kind)
       case EngineKind::Fast:
         return {{CrashPolicy::DropAll, false},
                 {CrashPolicy::RandomLines, false},
+                {CrashPolicy::TornLines, false},
                 {CrashPolicy::TornLines, true}};
       case EngineKind::Fash:
       case EngineKind::Nvwal:

@@ -17,8 +17,8 @@
  * With --fig8, additionally asserts that the export alone reproduces
  * the paper's Figure-8 commit breakdown for FAST / FASH / NVWAL:
  * log-flush activity for all three, checkpointing for the logging
- * engines, and the atomic 64-B header write for FAST (the PR's
- * acceptance criterion).
+ * engines, and the atomic 64-B header write for FAST at exactly one
+ * flush and one fence per in-place commit (paper §3.2).
  *
  * With --forensics, instead validates one or more fasp-forensics
  * --json reports (the CI crash-image artifacts) against the forensics
@@ -356,7 +356,7 @@ cellField(const JsonValue &comps, const std::string &comp,
  * every engine pays log flushes (NVWAL its differential log, FASH its
  * always-on slot-header log, FAST the fallback path), the logging
  * engines checkpoint, and FAST additionally commits via the atomic
- * 64-B header write.
+ * 64-B header write — one flush and one fence per in-place commit.
  */
 void
 checkFig8(const JsonValue &doc)
@@ -378,9 +378,8 @@ checkFig8(const JsonValue &doc)
                       field + " is zero");
         }
     }
-    if (const JsonValue *fast = phases->find("FAST")) {
-        check(cellField(*fast, "atomic-64B-write", "flushes") > 0,
-              "fig8: FAST atomic-64B-write flushes is zero");
+    const JsonValue *fast = phases->find("FAST");
+    if (fast) {
         check(cellField(*fast, "checkpointing", "flushes") > 0,
               "fig8: FAST checkpointing flushes is zero");
     }
@@ -395,16 +394,28 @@ checkFig8(const JsonValue &doc)
               "fig8: NVWAL heap-management flushes is zero");
     }
 
-    // schema_version 3: FAST's in-place commits publish through the
-    // persistent CAS (DESIGN.md §14), so the run must have booked
-    // commits in the PCAS abort-class counters. The fallback counters
-    // may legitimately stay zero on an uncontended run.
+    // FAST's in-place commits publish through one persistent CAS of
+    // header word 0 (DESIGN.md §14): the run must have booked PCAS
+    // commits, and the atomic 64-B write must have cost exactly one
+    // flush and one fence for each. The fallback counters may
+    // legitimately stay zero on an uncontended run.
     const JsonValue *counters = doc.find("counters");
     if (check(counters && counters->kind == JsonValue::Object,
               "fig8: counters section missing")) {
         const JsonValue *commits = counters->find("core.pcas.commits");
-        check(commits && commits->isNumber() && commits->number > 0,
-              "fig8: core.pcas.commits missing or zero");
+        if (check(commits && commits->isNumber() && commits->number > 0,
+                  "fig8: core.pcas.commits missing or zero") &&
+            fast) {
+            double flushes =
+                cellField(*fast, "atomic-64B-write", "flushes");
+            double fences = cellField(*fast, "atomic-64B-write", "fences");
+            check(flushes == commits->number && fences == commits->number,
+                  "fig8: FAST atomic-64B-write must cost one flush and "
+                  "one fence per in-place commit (flushes " +
+                      std::to_string(flushes) + ", fences " +
+                      std::to_string(fences) + ", core.pcas.commits " +
+                      std::to_string(commits->number) + ")");
+        }
     }
 }
 
