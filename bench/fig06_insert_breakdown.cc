@@ -34,8 +34,8 @@ main(int argc, char **argv)
             BenchConfig config;
             config.kind = kind;
             config.latency = pm::LatencyModel::of(lat, lat);
-            config.numTxns = args.numTxns;
-            BenchResult result = runInsertBench(config);
+            config.opsPerClient = args.numTxns;
+            BenchResult result = runBench(config);
             Groups groups = groupComponents(result, kind);
             table.addRow({latencyLabel(config.latency),
                           core::engineKindName(kind),

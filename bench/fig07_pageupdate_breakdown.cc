@@ -36,8 +36,8 @@ main(int argc, char **argv)
             BenchConfig config;
             config.kind = kind;
             config.latency = pm::LatencyModel::of(lat, lat);
-            config.numTxns = args.numTxns;
-            BenchResult result = runInsertBench(config);
+            config.opsPerClient = args.numTxns;
+            BenchResult result = runBench(config);
 
             double vol = result.perTxnNs(Component::VolatileCopy);
             double hdr = result.perTxnNs(Component::UpdateSlotHeader);

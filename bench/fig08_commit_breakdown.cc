@@ -39,8 +39,8 @@ main(int argc, char **argv)
             BenchConfig config;
             config.kind = kind;
             config.latency = pm::LatencyModel::of(300, wlat);
-            config.numTxns = args.numTxns;
-            BenchResult result = runInsertBench(config);
+            config.opsPerClient = args.numTxns;
+            BenchResult result = runBench(config);
 
             double comp = result.perTxnNs(Component::NvwalCompute);
             double heap = result.perTxnNs(Component::HeapMgmt);

@@ -35,11 +35,11 @@ main(int argc, char **argv)
             config.kind = kind;
             config.latency = pm::LatencyModel::of(300, 300);
             // Cap the workload so the largest records stay in budget.
-            config.numTxns =
+            config.opsPerClient =
                 std::min<std::size_t>(args.numTxns,
                                       (96u << 20) / (size + 64));
             config.recordSize = size;
-            BenchResult result = runInsertBench(config);
+            BenchResult result = runBench(config);
             Groups groups = groupComponents(result, kind);
             double total = groups.totalNs();
             if (kind == core::EngineKind::Nvwal)
@@ -54,7 +54,7 @@ main(int argc, char **argv)
                  Table::fmt(result.flushesPerTxn(), 1),
                  Table::fmt(static_cast<double>(
                                 result.pmStats.storeBytes) /
-                                static_cast<double>(result.txns),
+                                static_cast<double>(result.ops),
                             0)});
         }
     }

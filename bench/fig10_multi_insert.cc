@@ -35,10 +35,10 @@ main(int argc, char **argv)
             BenchConfig config;
             config.kind = kind;
             config.latency = pm::LatencyModel::of(300, 300);
-            config.numTxns =
+            config.opsPerClient =
                 std::max<std::size_t>(1, args.numTxns / k);
             config.recordsPerTxn = k;
-            BenchResult result = runInsertBench(config);
+            BenchResult result = runBench(config);
             double commit = commitNs(result, kind);
             table.addRow(
                 {std::to_string(k), core::engineKindName(kind),
@@ -46,7 +46,7 @@ main(int argc, char **argv)
                  Table::fmt(commit / 1000.0 /
                             static_cast<double>(k)),
                  Table::fmt(result.flushesPerTxn(), 1),
-                 Table::fmt(result.engineStats.inPlaceCommits)});
+                 Table::fmt(result.counters.engine.inPlaceCommits)});
         }
     }
     std::string title =

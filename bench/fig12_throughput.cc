@@ -29,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "bench_util/mt_driver.h"
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
 #include "btree/btree.h"
@@ -237,44 +236,41 @@ runMultiClient(const BenchArgs &args)
     for (const Series &s : series) {
         double base_tput = 0;
         for (std::size_t clients : counts) {
-            MtConfig config;
+            BenchConfig config;
             config.kind = s.kind;
             config.commitVia = s.via;
-            config.threads = clients;
-            config.txnsPerThread =
+            config.clients = clients;
+            config.opsPerClient =
                 std::max<std::size_t>(args.numTxns / clients, 50);
             if (obs::enabled())
                 obs::SpanProfiler::global().resetLatchContention();
-            MtResult result = runMtInsertBench(config);
+            BenchResult result = runBench(config);
             std::uint64_t latch_p95 =
                 obs::enabled()
                     ? obs::SpanProfiler::global().latchWaitHist().p95
                     : 0;
+            double tput = result.opsPerSecond();
             if (clients == 1)
-                base_tput = result.txnsPerSecond;
+                base_tput = tput;
             perf.addRow(
                 {s.label,
                  Table::fmt(static_cast<std::uint64_t>(clients)),
-                 Table::fmt(result.txns),
-                 Table::fmt(result.txnsPerSecond / 1000.0, 1),
-                 Table::fmt(result.txnsPerSecond /
-                                (base_tput > 0 ? base_tput : 1),
-                            2) +
+                 Table::fmt(result.ops), Table::fmt(tput / 1000.0, 1),
+                 Table::fmt(tput / (base_tput > 0 ? base_tput : 1), 2) +
                      "x",
-                 Table::fmt(result.conflictRetries),
-                 Table::fmt(static_cast<std::uint64_t>(
-                     result.rtmStats.abortsContention)),
-                 Table::fmt(result.engineStats.pcasFallbacks),
+                 Table::fmt(result.retries),
+                 Table::fmt(result.counters.rtm.abortsContention),
+                 Table::fmt(result.counters.engine.pcasFallbacks),
                  Table::fmt(latch_p95)});
 
             // Validation pass: same point, persistency checker on.
             config.attachChecker = true;
-            MtResult checked = runMtInsertBench(config);
+            BenchResult checked = runBench(config);
             violations += checked.checkerViolations;
             valid.addRow(
                 {s.label,
                  Table::fmt(static_cast<std::uint64_t>(clients)),
-                 Table::fmt(checked.txns),
+                 Table::fmt(checked.ops),
                  Table::fmt(checked.checkerViolations)});
         }
     }
@@ -286,13 +282,12 @@ runMultiClient(const BenchArgs &args)
     // headline configuration instead.
     if (obs::enabled()) {
         obs::SpanProfiler::global().resetLatchContention();
-        MtConfig config;
+        BenchConfig config;
         config.kind = core::EngineKind::Fast;
-        config.commitVia = core::InPlaceCommitVia::Pcas;
-        config.threads = args.clients;
-        config.txnsPerThread =
+        config.clients = args.clients;
+        config.opsPerClient =
             std::max<std::size_t>(args.numTxns / args.clients, 50);
-        runMtInsertBench(config);
+        runBench(config);
     }
 
     std::string perf_title =

@@ -27,14 +27,14 @@ main(int argc, char **argv)
         BenchConfig config;
         config.kind = kind;
         config.latency = pm::LatencyModel::of(300, 300);
-        config.numTxns = args.numTxns;
+        config.opsPerClient = args.numTxns;
         config.recordSize = record;
-        BenchResult result = runInsertBench(config);
+        BenchResult result = runBench(config);
 
         double bytes = static_cast<double>(result.pmStats.storeBytes) /
-                       static_cast<double>(result.txns);
+                       static_cast<double>(result.ops);
         double fences = static_cast<double>(result.pmStats.fences) /
-                        static_cast<double>(result.txns);
+                        static_cast<double>(result.ops);
         table.addRow({core::engineKindName(kind),
                       Table::fmt(bytes, 0),
                       Table::fmt(bytes / record, 1) + "x",

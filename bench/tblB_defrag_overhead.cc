@@ -27,20 +27,11 @@ void
 runFragmentationMix(core::EngineKind kind, std::size_t ops,
                     benchutil::Table &table)
 {
-    pm::PmConfig pm_cfg;
-    pm_cfg.size = 256u << 20;
-    pm_cfg.latency = pm::LatencyModel::of(300, 300);
-    pm::PmDevice device(pm_cfg);
-
-    core::EngineConfig engine_cfg;
-    engine_cfg.kind = kind;
-    engine_cfg.format.logLen = 16u << 20;
-    auto engine = std::move(*core::Engine::create(device, engine_cfg,
-                                                  true));
-    auto tree = *engine->createTree(2);
-
-    pm::PhaseTracker tracker;
-    tracker.start();
+    BenchConfig config;
+    config.kind = kind;
+    BenchPoint point(config, 256u << 20);
+    core::Engine &engine = point.engine();
+    auto tree = *engine.createTree(2);
 
     // Variable-size records + heavy updates/deletes fragment pages.
     workload::MixedWorkload::Mix mix{40, 35, 15};
@@ -48,10 +39,11 @@ runFragmentationMix(core::EngineKind kind, std::size_t ops,
     workload::ValueGen values = workload::ValueGen::uniform(16, 400, 9);
     std::vector<std::uint8_t> value;
 
+    point.startMeasuring();
     for (std::size_t i = 0; i < ops; ++i) {
         workload::Op op = workload.next();
         values.next(value);
-        auto tx = engine->begin();
+        auto tx = engine.begin();
         Status status;
         switch (op.type) {
           case workload::OpType::Insert:
@@ -81,11 +73,11 @@ runFragmentationMix(core::EngineKind kind, std::size_t ops,
         if (!status.isOk())
             faspFatal("commit failed");
     }
-    tracker.stop();
-
+    BenchResult result;
+    point.stopMeasuring(result);
     double defrag =
-        static_cast<double>(tracker.totalNs(Component::Defrag));
-    double total = static_cast<double>(tracker.grandTotalNs());
+        static_cast<double>(result.window.totalNs(Component::Defrag));
+    double total = static_cast<double>(result.window.grandTotalNs());
     table.addRow({core::engineKindName(kind), "frag-heavy mix",
                   Table::fmt(defrag / static_cast<double>(ops) /
                              1000.0, 4),
@@ -108,8 +100,8 @@ main(int argc, char **argv)
         BenchConfig config;
         config.kind = kind;
         config.latency = pm::LatencyModel::of(300, 300);
-        config.numTxns = args.numTxns;
-        BenchResult result = runInsertBench(config);
+        config.opsPerClient = args.numTxns;
+        BenchResult result = runBench(config);
         Groups groups = groupComponents(result, kind);
         double defrag = result.perTxnNs(Component::Defrag);
         table.addRow({core::engineKindName(kind), "insert-only",

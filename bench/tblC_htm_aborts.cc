@@ -43,7 +43,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "bench_util/mt_driver.h"
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
 #include "obs/metrics.h"
@@ -65,28 +64,28 @@ main(int argc, char **argv)
         config.kind = core::EngineKind::Fast;
         config.commitVia = core::InPlaceCommitVia::Rtm;
         config.latency = pm::LatencyModel::of(300, 300);
-        config.numTxns = args.numTxns;
+        config.opsPerClient = args.numTxns;
         config.rtm.abortProbability = prob;
         config.rtm.seed = 1234;
-        BenchResult result = runInsertBench(config);
+        BenchResult result = runBench(config);
+        const core::EngineStats &es = result.counters.engine;
+        const htm::RtmStats &rtm = result.counters.rtm;
 
-        double commits_total = static_cast<double>(
-            result.engineStats.inPlaceCommits +
-            result.engineStats.logCommits);
+        double commits_total =
+            static_cast<double>(es.inPlaceCommits + es.logCommits);
         double attempts =
-            result.rtmStats.begins > 0 && result.rtmStats.commits > 0
-                ? static_cast<double>(result.rtmStats.begins) /
-                      static_cast<double>(result.rtmStats.commits)
+            rtm.begins > 0 && rtm.commits > 0
+                ? static_cast<double>(rtm.begins) /
+                      static_cast<double>(rtm.commits)
                 : 0.0;
         double fallback_rate =
             commits_total > 0
-                ? static_cast<double>(result.rtmStats.fallbacks) /
-                      commits_total
+                ? static_cast<double>(rtm.fallbacks) / commits_total
                 : 0.0;
         table.addRow({Table::fmt(prob, 2), Table::fmt(attempts, 2),
                       Table::fmt(100.0 * fallback_rate, 2) + "%",
-                      Table::fmt(result.engineStats.inPlaceCommits),
-                      Table::fmt(result.engineStats.logCommits),
+                      Table::fmt(es.inPlaceCommits),
+                      Table::fmt(es.logCommits),
                       Table::fmt(commitNs(result,
                                           core::EngineKind::Fast) /
                                      1000.0,
@@ -101,29 +100,20 @@ main(int argc, char **argv)
                    "injected", "contention", "capacity", "fallbacks"});
     const std::size_t client_counts[] = {1, 2, 4};
     for (std::size_t clients : client_counts) {
-        MtConfig config;
+        BenchConfig config;
         config.kind = core::EngineKind::Fast;
         config.commitVia = core::InPlaceCommitVia::Rtm;
-        config.threads = clients;
-        config.txnsPerThread =
+        config.clients = clients;
+        config.opsPerClient =
             std::max<std::size_t>(args.numTxns / clients, 50);
-        MtResult result = runMtInsertBench(config);
-        classes.addRow(
-            {Table::fmt(static_cast<std::uint64_t>(clients)),
-             Table::fmt(static_cast<std::uint64_t>(
-                 result.rtmStats.begins)),
-             Table::fmt(static_cast<std::uint64_t>(
-                 result.rtmStats.commits)),
-             Table::fmt(static_cast<std::uint64_t>(
-                 result.rtmStats.abortsExplicit)),
-             Table::fmt(static_cast<std::uint64_t>(
-                 result.rtmStats.abortsInjected)),
-             Table::fmt(static_cast<std::uint64_t>(
-                 result.rtmStats.abortsContention)),
-             Table::fmt(static_cast<std::uint64_t>(
-                 result.rtmStats.abortsCapacity)),
-             Table::fmt(static_cast<std::uint64_t>(
-                 result.rtmStats.fallbacks))});
+        const htm::RtmStats rtm = runBench(config).counters.rtm;
+        classes.addRow({Table::fmt(static_cast<std::uint64_t>(clients)),
+                        Table::fmt(rtm.begins), Table::fmt(rtm.commits),
+                        Table::fmt(rtm.abortsExplicit),
+                        Table::fmt(rtm.abortsInjected),
+                        Table::fmt(rtm.abortsContention),
+                        Table::fmt(rtm.abortsCapacity),
+                        Table::fmt(rtm.fallbacks)});
     }
     std::string class_title =
         "Table C (cont.): RTM abort classes vs concurrent clients "
@@ -137,31 +127,27 @@ main(int argc, char **argv)
         BenchConfig config;
         config.kind = core::EngineKind::Fast;
         config.latency = pm::LatencyModel::of(300, 300);
-        config.numTxns = args.numTxns;
+        config.opsPerClient = args.numTxns;
         config.pcas.failProbability = prob;
         config.pcas.seed = 1234;
-        BenchResult result = runInsertBench(config);
+        BenchResult result = runBench(config);
+        const core::EngineStats &es = result.counters.engine;
+        const pm::PcasStats &ps = result.counters.pcas;
 
-        std::uint64_t pcas_commits = result.pcasStats.casCommits;
-        std::uint64_t pcas_attempts = result.pcasStats.casAttempts;
-        double commits_total = static_cast<double>(
-            result.engineStats.inPlaceCommits +
-            result.engineStats.logCommits);
+        double commits_total =
+            static_cast<double>(es.inPlaceCommits + es.logCommits);
         double attempts =
-            pcas_commits > 0 ? static_cast<double>(pcas_attempts) /
-                                   static_cast<double>(pcas_commits)
-                             : 0.0;
+            ps.casCommits > 0 ? static_cast<double>(ps.casAttempts) /
+                                    static_cast<double>(ps.casCommits)
+                              : 0.0;
         double fallback_rate =
             commits_total > 0
-                ? static_cast<double>(
-                      result.engineStats.pcasFallbacks) /
-                      commits_total
+                ? static_cast<double>(es.pcasFallbacks) / commits_total
                 : 0.0;
         pcas_sweep.addRow(
             {Table::fmt(prob, 2), Table::fmt(attempts, 2),
              Table::fmt(100.0 * fallback_rate, 2) + "%",
-             Table::fmt(result.engineStats.inPlaceCommits),
-             Table::fmt(result.engineStats.logCommits),
+             Table::fmt(es.inPlaceCommits), Table::fmt(es.logCommits),
              Table::fmt(commitNs(result, core::EngineKind::Fast) /
                             1000.0,
                         3)});
@@ -196,15 +182,15 @@ main(int argc, char **argv)
                   "latch-conflicts", "latch-wait(ns)", "pcas-retries",
                   "pcas-helps"});
     for (std::size_t clients : client_counts) {
-        MtConfig config;
+        BenchConfig config;
         config.kind = core::EngineKind::Fast;
-        config.threads = clients;
-        config.txnsPerThread =
+        config.clients = clients;
+        config.opsPerClient =
             std::max<std::size_t>(args.numTxns / clients, 50);
         std::array<std::uint64_t, 7> before = fast_span_counts();
-        MtResult result = runMtInsertBench(config);
+        BenchResult result = runBench(config);
         std::array<std::uint64_t, 7> after = fast_span_counts();
-        const pm::PcasStats &ps = result.pcasStats;
+        const pm::PcasStats &ps = result.counters.pcas;
         pcas_classes.addRow(
             {Table::fmt(static_cast<std::uint64_t>(clients)),
              Table::fmt(ps.casAttempts),
@@ -213,7 +199,7 @@ main(int argc, char **argv)
              Table::fmt(ps.casConflicts),
              Table::fmt(ps.casExhausted),
              Table::fmt(ps.helps),
-             Table::fmt(result.engineStats.pcasFallbacks)});
+             Table::fmt(result.counters.engine.pcasFallbacks)});
         std::vector<std::string> cause_row;
         cause_row.push_back(
             Table::fmt(static_cast<std::uint64_t>(clients)));

@@ -27,26 +27,16 @@ using pm::Component;
 
 namespace {
 
-struct RunResult
-{
-    double searchUs;
-    double totalUs;
-    std::uint64_t inPlace;
-};
-
-RunResult
+/** @p n single-record hash-index inserts, measured. */
+BenchResult
 runHashInsertBench(core::EngineKind kind, std::size_t n)
 {
-    pm::PmConfig pm_cfg;
-    pm_cfg.size = std::max<std::size_t>(128u << 20, n * 256);
-    pm_cfg.latency = pm::LatencyModel::of(300, 300);
-    pm::PmDevice device(pm_cfg);
-    core::EngineConfig cfg;
-    cfg.kind = kind;
-    cfg.format.logLen = 16u << 20;
-    auto engine = std::move(*core::Engine::create(device, cfg, true));
+    BenchConfig config;
+    config.kind = kind;
+    BenchPoint point(config, std::max<std::size_t>(128u << 20, n * 256));
+    core::Engine &engine = point.engine();
     {
-        auto tx = engine->begin();
+        auto tx = engine.begin();
         auto created =
             btree::HashIndex::create(tx->pageIO(), 1, 128);
         if (!created.isOk())
@@ -57,15 +47,11 @@ runHashInsertBench(core::EngineKind kind, std::size_t n)
     }
     btree::HashIndex index(1);
 
-    pm::PhaseTracker tracker;
-    tracker.start();
-    device.invalidateTagCache();
-    engine->stats().reset();
-
+    point.startMeasuring();
     Rng rng(4);
     std::vector<std::uint8_t> value(64, 0x11);
     for (std::size_t i = 0; i < n; ++i) {
-        auto tx = engine->begin();
+        auto tx = engine.begin();
         Status status = index.insert(
             tx->pageIO(), rng.next() | 1,
             std::span<const std::uint8_t>(value));
@@ -77,15 +63,10 @@ runHashInsertBench(core::EngineKind kind, std::size_t n)
         if (!tx->commit().isOk())
             faspFatal("hash commit failed");
     }
-    tracker.stop();
-    RunResult out;
-    out.searchUs =
-        static_cast<double>(tracker.totalNs(Component::Search)) /
-        static_cast<double>(n) / 1000.0;
-    out.totalUs = static_cast<double>(tracker.grandTotalNs()) /
-                  static_cast<double>(n) / 1000.0;
-    out.inPlace = engine->stats().inPlaceCommits;
-    return out;
+    BenchResult result;
+    point.stopMeasuring(result);
+    result.ops = n;
+    return result;
 }
 
 } // namespace
@@ -103,20 +84,22 @@ main(int argc, char **argv)
         BenchConfig config;
         config.kind = kind;
         config.latency = pm::LatencyModel::of(300, 300);
-        config.numTxns = n;
-        BenchResult btree_result = runInsertBench(config);
+        config.opsPerClient = n;
+        BenchResult btree_result = runBench(config);
         Groups groups = groupComponents(btree_result, kind);
         table.addRow({core::engineKindName(kind), "b+tree",
                       Table::fmt(groups.searchNs / 1000.0),
                       Table::fmt(groups.totalNs() / 1000.0),
                       Table::fmt(
-                          btree_result.engineStats.inPlaceCommits)});
+                          btree_result.counters.engine.inPlaceCommits)});
 
-        RunResult hash = runHashInsertBench(kind, n);
-        table.addRow({core::engineKindName(kind), "hash",
-                      Table::fmt(hash.searchUs),
-                      Table::fmt(hash.totalUs),
-                      Table::fmt(hash.inPlace)});
+        BenchResult hash = runHashInsertBench(kind, n);
+        table.addRow(
+            {core::engineKindName(kind), "hash",
+             Table::fmt(hash.perTxnNs(Component::Search) / 1000.0),
+             Table::fmt(static_cast<double>(hash.window.grandTotalNs()) /
+                        static_cast<double>(n) / 1000.0),
+             Table::fmt(hash.counters.engine.inPlaceCommits)});
     }
     std::string title =
         "Table D: slotted-page B+-tree vs slotted-page hash "

@@ -30,13 +30,13 @@ main(int argc, char **argv)
             BenchConfig config;
             config.kind = kind;
             config.latency = pm::LatencyModel::of(600, 600);
-            config.numTxns = args.numTxns;
+            config.opsPerClient = args.numTxns;
             config.useClwb = clwb;
-            BenchResult result = runInsertBench(config);
+            BenchResult result = runBench(config);
             Groups groups = groupComponents(result, kind);
             double misses =
                 static_cast<double>(result.pmStats.readMisses) /
-                static_cast<double>(result.txns);
+                static_cast<double>(result.ops);
             table.addRow({core::engineKindName(kind),
                           clwb ? "CLWB" : "CLFLUSH",
                           Table::fmt(groups.searchNs / 1000.0),

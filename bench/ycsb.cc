@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util/mt_driver.h"
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
 #include "core/engine.h"
@@ -38,16 +37,16 @@ namespace {
 
 const char kMixes[] = {'A', 'B', 'C', 'D', 'E', 'F'};
 
-MtYcsbConfig
+BenchConfig
 basePoint(const BenchArgs &args, char mix, core::EngineKind kind)
 {
-    MtYcsbConfig config;
+    BenchConfig config;
     config.kind = kind;
-    config.mix = mix;
-    config.threads = args.clients ? args.clients : (args.smoke ? 2 : 4);
-    config.opsPerThread =
-        std::max<std::size_t>(args.numTxns / config.threads, 50);
-    config.preloadPerThread = args.smoke ? 200 : 1000;
+    config.ycsbMix = mix;
+    config.clients = args.clients ? args.clients : (args.smoke ? 2 : 4);
+    config.opsPerClient =
+        std::max<std::size_t>(args.numTxns / config.clients, 50);
+    config.preloadPerClient = args.smoke ? 200 : 1000;
     return config;
 }
 
@@ -63,17 +62,17 @@ main(int argc, char **argv)
                 "scanned"});
     for (char mix : kMixes) {
         for (core::EngineKind kind : allEngines()) {
-            MtYcsbConfig config = basePoint(args, mix, kind);
-            MtYcsbResult result = runMtYcsbBench(config);
+            BenchConfig config = basePoint(args, mix, kind);
+            BenchResult result = runBench(config);
             perf.addRow(
                 {std::string(1, mix), core::engineKindName(kind),
-                 Table::fmt(static_cast<std::uint64_t>(config.threads)),
+                 Table::fmt(static_cast<std::uint64_t>(config.clients)),
                  Table::fmt(result.ops),
-                 Table::fmt(result.opsPerSecond, 0),
+                 Table::fmt(result.opsPerSecond(), 0),
                  Table::fmt(result.meanOpUs, 1),
                  Table::fmt(result.p50OpUs, 1),
                  Table::fmt(result.p99OpUs, 1),
-                 Table::fmt(result.conflictRetries),
+                 Table::fmt(result.retries),
                  Table::fmt(result.scannedRecords)});
         }
     }
@@ -91,9 +90,9 @@ main(int argc, char **argv)
          {core::EngineKind::Fast, core::EngineKind::Fash}) {
         for (workload::KeyOrder order : {workload::KeyOrder::Hashed,
                                          workload::KeyOrder::Sequential}) {
-            MtYcsbConfig config = basePoint(args, 'A', kind);
+            BenchConfig config = basePoint(args, 'A', kind);
             config.order = order;
-            MtYcsbResult result = runMtYcsbBench(config);
+            BenchResult result = runBench(config);
             hot.addRow(
                 {core::engineKindName(kind),
                  order == workload::KeyOrder::Hashed ? "hashed"
@@ -101,7 +100,7 @@ main(int argc, char **argv)
                  Table::fmt(result.ops),
                  Table::fmt(result.meanOpUs, 1),
                  Table::fmt(result.p99OpUs, 1),
-                 Table::fmt(result.conflictRetries)});
+                 Table::fmt(result.retries)});
         }
     }
 
@@ -109,12 +108,12 @@ main(int argc, char **argv)
     Table valid({"engine", "mix", "ops", "checker-violations"});
     std::uint64_t violations = 0;
     for (core::EngineKind kind : allEngines()) {
-        MtYcsbConfig config = basePoint(args, 'A', kind);
-        config.opsPerThread = std::min<std::size_t>(
-            config.opsPerThread, 150);
-        config.preloadPerThread = 100;
+        BenchConfig config = basePoint(args, 'A', kind);
+        config.opsPerClient = std::min<std::size_t>(
+            config.opsPerClient, 150);
+        config.preloadPerClient = 100;
         config.attachChecker = true;
-        MtYcsbResult result = runMtYcsbBench(config);
+        BenchResult result = runBench(config);
         violations += result.checkerViolations;
         valid.addRow({core::engineKindName(kind), "A",
                       Table::fmt(result.ops),

@@ -38,9 +38,9 @@ main(int argc, char **argv)
             BenchConfig config;
             config.kind = kind;
             config.latency = pm::LatencyModel::of(lat, lat);
-            config.numTxns = txns;
+            config.opsPerClient = txns;
             config.recordSize = record;
-            BenchResult result = runInsertBench(config);
+            BenchResult result = runBench(config);
             totals[idx++] = groupComponents(result, kind).totalNs();
         }
         table.addRow({latencyLabel(pm::LatencyModel::of(lat, lat)),

@@ -37,10 +37,9 @@ main(int argc, char **argv)
         benchutil::BenchConfig config;
         config.kind = kind;
         config.latency = pm::LatencyModel::of(500, 500);
-        config.numTxns = num_txns;
+        config.opsPerClient = num_txns;
         config.recordSize = 100;
-        benchutil::BenchResult result =
-            benchutil::runInsertBench(config);
+        benchutil::BenchResult result = benchutil::runBench(config);
         benchutil::Groups groups =
             benchutil::groupComponents(result, kind);
         table.addRow(
@@ -50,7 +49,7 @@ main(int argc, char **argv)
              benchutil::Table::fmt(result.flushesPerTxn(), 1),
              benchutil::Table::fmt(
                  static_cast<double>(result.pmStats.storeBytes) /
-                     static_cast<double>(result.txns),
+                     static_cast<double>(result.ops),
                  0)});
     }
     table.print("single-insert transactions across engines");
@@ -58,6 +57,6 @@ main(int argc, char **argv)
                 "every touched page twice; page-granularity WAL once; "
                 "NVWAL only the dirty bytes (but through a heap + "
                 "index); FASH only slot headers; FAST one header line "
-                "via HTM in-place commit.\n");
+                "via its one-word PCAS in-place commit.\n");
     return 0;
 }

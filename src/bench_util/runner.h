@@ -1,13 +1,28 @@
 /**
  * @file
- * Benchmark harness: spins up a fresh database per (engine, latency)
- * point, runs the paper's workloads, and reports per-transaction
- * component breakdowns in the groups the paper's figures use.
+ * Benchmark harness: one driver, runBench(), times every insert and
+ * YCSB point. N client threads (`clients = 1` for the paper's figure
+ * sweeps) run against a fresh engine on a fresh device; the measured
+ * phase covers exactly their ops. Drivers whose ops are neither an
+ * insert nor a YCSB stream (tblB's fragmentation mix, tblD's hash
+ * index, runSqlBench) keep their own op loops but set up and measure
+ * through the same BenchPoint.
  *
- * Reported times are `compute wall time + modelled PM latency`,
- * mirroring the paper's Quartz emulation (see pm/latency.h); being
- * accounting-based, they are deterministic up to CPU noise in the
- * wall-time share.
+ * Two clocks:
+ *  - the figure tables read per-component time from the PhaseTracker
+ *    window: compute wall time + modelled PM latency, mirroring the
+ *    paper's Quartz emulation (see pm/latency.h);
+ *  - the multi-client tables read a makespan model. Each client
+ *    accumulates its own CPU time (CLOCK_THREAD_CPUTIME_ID) plus its
+ *    own modelled PM stall time (pm::threadModelNs). Clients of the
+ *    latch-based engines (FAST/FASH) overlap except where they
+ *    conflict, and the losers' retries are charged to them, so the
+ *    slowest client bounds the run. The buffered baselines hold a
+ *    whole-transaction mutex, so client work never overlaps and their
+ *    makespan is the sum of per-client time.
+ * Every run also records host wall seconds. The window holds the phase
+ * clock over every measured phase, so each client's CPU time includes
+ * a steady-clock read at each PhaseScope boundary.
  */
 
 #ifndef FASP_BENCH_UTIL_RUNNER_H
@@ -17,50 +32,148 @@
 #include <memory>
 #include <string>
 
+#include "btree/btree.h"
 #include "core/engine.h"
+#include "db/database.h"
 #include "pager/latch_table.h"
+#include "pm/checker.h"
 #include "pm/device.h"
 #include "pm/phase.h"
 #include "workload/workload.h"
 
 namespace fasp::benchutil {
 
-/** One benchmark point. */
+/**
+ * One benchmark point. Device size, seeds and the insert key pattern
+ * are fixed: client c draws keys from KeyStream(UniformRandom,
+ * 42 + 1000c) and values from ValueGen::fixed(recordSize, 43 + c).
+ */
 struct BenchConfig
 {
     core::EngineKind kind = core::EngineKind::Fast;
-    pm::LatencyModel latency = pm::LatencyModel::of(300, 300);
-    std::size_t numTxns = 20000;
-    std::size_t recordSize = 64;       //!< value bytes per record
-    std::size_t recordsPerTxn = 1;
-    workload::KeyPattern keys = workload::KeyPattern::UniformRandom;
-    std::uint64_t seed = 42;
-    std::size_t deviceSize = 0;        //!< 0 = sized automatically
-    /** FAST abort injection; starts from the engines' default. */
-    htm::RtmConfig rtm = core::EngineConfig{}.rtm;
-    bool useClwb = false;              //!< CLWB vs CLFLUSH ablation
-
     /** FAST in-place commit mechanism (PCAS default vs RTM). */
     core::InPlaceCommitVia commitVia = core::InPlaceCommitVia::Pcas;
+    /** FAST abort injection; starts from the engines' default. */
+    htm::RtmConfig rtm = core::EngineConfig{}.rtm;
     pm::PcasConfig pcas;               //!< PCAS failure injection
+    bool useClwb = false;              //!< CLWB vs CLFLUSH ablation
+    pm::LatencyModel latency = pm::LatencyModel::of(300, 300);
+
+    std::size_t clients = 1;
+    std::size_t opsPerClient = 20000;  //!< insert txns or YCSB ops
+    std::size_t recordSize = 64;       //!< value bytes per record
+    std::size_t recordsPerTxn = 1;     //!< insert stream only
+
+    /** The op stream: 0 for transactions inserting random keys, or a
+     *  YCSB mix 'A'-'F' over each client's slice of a preloaded
+     *  keyspace. */
+    char ycsbMix = 0;
+    std::size_t preloadPerClient = 0;  //!< YCSB records loaded up front
+    workload::KeyOrder order = workload::KeyOrder::Hashed; //!< YCSB
+
+    /** Attach a PersistencyChecker over the measured phase. */
+    bool attachChecker = false;
 };
 
-/** Everything measured for one point. */
+/**
+ * Snapshot of the stats structs an engine counts its events in: the
+ * single count behind every exported core.*, pager.latch.* and htm.*
+ * counter (DESIGN.md §11). The buffered engines have only EngineStats;
+ * FAST/FASH add their latch table, PCAS and RTM stats.
+ */
+struct EngineCounters
+{
+    core::EngineStats engine;
+    LatchStats latches;
+    pm::PcasStats pcas;
+    htm::RtmStats rtm;
+    bool commitViaPcas = false;
+
+    static EngineCounters of(core::Engine &engine);
+};
+
+/** Everything measured over one point's measured phase. */
 struct BenchResult
 {
-    pm::PhaseTracker tracker; //!< ledger window over the measured txns
+    std::uint64_t ops = 0;            //!< insert txns or YCSB ops done
+    /** Ops by workload::YcsbOp; an insert txn counts as one Insert. */
+    std::array<std::uint64_t, 5> opCounts{};
+    std::uint64_t scannedRecords = 0; //!< records visited by scans
+    std::uint64_t retries = 0;        //!< LatchConflict aborts retried
+    double wallSeconds = 0;           //!< host wall clock
+    double modeledSeconds = 0;        //!< makespan of CPU + modelled PM
+    double meanOpUs = 0;              //!< per op, CPU + modelled PM
+    double p50OpUs = 0;
+    double p99OpUs = 0;
+    std::uint64_t checkerViolations = 0;
+    pm::PhaseTracker window;          //!< ledger window over the ops
     pm::PmStats pmStats;
-    core::EngineStats engineStats;
-    htm::RtmStats rtmStats;
-    pm::PcasStats pcasStats;
-    std::uint64_t txns = 0;
-    double wallSeconds = 0;
+    /** The engine's stats at the end of the phase. Its EngineStats,
+     *  PCAS and RTM stats count from the phase's start; latch stats
+     *  are cumulative. */
+    EngineCounters counters;
 
-    /** Average ns/transaction attributed to @p comp. */
+    /** ops / modeledSeconds. */
+    double opsPerSecond() const;
+
+    /** Average ns per op attributed to @p comp. */
     double perTxnNs(pm::Component comp) const;
 
-    /** clflush instructions per transaction. */
+    /** clflush instructions per op. */
     double flushesPerTxn() const;
+};
+
+/**
+ * The paper's main workload and the YCSB mixes: BenchPoint::run() on a
+ * fresh point sized for the records it writes, over a fresh tree.
+ */
+BenchResult runBench(const BenchConfig &config);
+
+/**
+ * One point's fresh device and engine, and its measured phase. The
+ * engine is formatted with a 16 MiB log; with @p sql it belongs to a
+ * fresh SQL database.
+ */
+class BenchPoint
+{
+  public:
+    BenchPoint(const BenchConfig &config, std::size_t deviceSize,
+               bool sql = false);
+
+    pm::PmDevice &device() { return device_; }
+    core::Engine &engine() { return *engine_; }
+    db::Database &database() { return *database_; }
+
+    /**
+     * runBench()'s load on @p tree: preload it (YCSB), then, as the
+     * measured phase, config.clients threads each run
+     * config.opsPerClient ops. After a LatchConflict a client backs off
+     * and retries the same op; only a 64-bit key collision
+     * (AlreadyExists) draws a new key. Then every committed key must be
+     * readable and, for insert streams, the tree must hold exactly the
+     * committed records (fatal otherwise). Verification bills nothing
+     * to the result or to the obs export.
+     */
+    BenchResult run(btree::BTree &tree);
+
+    /** Attach the checker if config.attachChecker, reset the device's
+     *  and engine's stats, snapshot the counters and open the window. */
+    void startMeasuring();
+
+    /** Close the window and fold it and the counters' change into the
+     *  obs export (with obs on); copy the window, PmStats, counters and
+     *  checker violations into @p result. */
+    void stopMeasuring(BenchResult &result);
+
+  private:
+    BenchConfig config_;
+    pm::PersistencyChecker checker_; //!< outlives the device
+    pm::PmDevice device_;
+    std::unique_ptr<db::Database> database_;
+    std::unique_ptr<core::Engine> ownEngine_;
+    core::Engine *engine_ = nullptr;
+    EngineCounters counters0_;
+    pm::PhaseTracker window_;
 };
 
 /** The paper's figure groups. */
@@ -91,35 +204,13 @@ double pageUpdateNs(const BenchResult &result);
 double commitNs(const BenchResult &result, core::EngineKind kind);
 
 /**
- * The paper's main workload: @p numTxns transactions, each inserting
- * @p recordsPerTxn records with random keys.
- */
-BenchResult runInsertBench(const BenchConfig &config);
-
-/**
- * Snapshot of the stats structs an engine counts its events in: the
- * single count behind every exported core.*, pager.latch.* and htm.*
- * counter (DESIGN.md §11). The buffered engines have only EngineStats;
- * FAST/FASH add their latch table, PCAS and RTM stats.
- */
-struct EngineCounters
-{
-    core::EngineStats engine;
-    LatchStats latches;
-    pm::PcasStats pcas;
-    htm::RtmStats rtm;
-    bool commitViaPcas = false;
-
-    static EngineCounters of(core::Engine &engine);
-};
-
-/**
  * With obs enabled, add each stats field's change since @p before to
  * the global MetricsRegistry under its exported counter name. Zero
  * changes are skipped, so a counter appears in an export only once its
- * event happened. Every runner calls this where it folds its ledger
- * window into the PhaseLedger, so the counters and `pm_phases`
- * describe the same measured transactions. No-op with obs off.
+ * event happened. BenchPoint::stopMeasuring() calls this where it
+ * folds its ledger window into the PhaseLedger, so the counters and
+ * `pm_phases` describe the same measured transactions. No-op with obs
+ * off.
  */
 void foldCounters(core::Engine &engine, const EngineCounters &before);
 
@@ -143,9 +234,8 @@ std::string latencyLabel(const pm::LatencyModel &latency);
  *   --json=PATH   also write the printed tables as a JSON report
  *   --clients=N   multi-client mode with N threads (benches that
  *                 support it; 0 = single-threaded latency sweep)
- *   --metrics=PATH  enable the obs layer and write its export here
- *                 (Prometheus text when PATH ends in ".prom", JSON
- *                 otherwise)
+ *   --metrics=PATH  enable the obs layer and write its JSON export
+ *                 here
  *   --trace=PATH  enable the obs layer and dump the span rings as a
  *                 chrome://tracing JSON file here
  *   --flight-recorder  enable the persistent flight recorder (off by
@@ -193,15 +283,14 @@ struct SqlBenchResult
     double opsPerSecond = 0;
 };
 
-/** Configuration of the SQL workload. */
+/** Configuration of the SQL workload (100-byte payloads, op stream
+ *  seed 42). */
 struct SqlBenchConfig
 {
     core::EngineKind kind = core::EngineKind::Fast;
     pm::LatencyModel latency = pm::LatencyModel::of(300, 300);
     std::size_t numOps = 6000;
     workload::MixedWorkload::Mix mix;
-    std::size_t valueSize = 100;
-    std::uint64_t seed = 42;
 };
 
 /** Mobibench-style mixed op workload through Database::exec. */

@@ -289,7 +289,7 @@ NvwalEngine::persistCommit(TxId txid, const std::vector<PageId> &dirty)
 
     // Lazy checkpointing (outside the per-query commit path in the
     // paper's measurements, but it must still happen).
-    if (config_.autoCheckpoint && nvwal_.needsCheckpoint())
+    if (nvwal_.needsCheckpoint())
         return nvwal_.checkpoint();
     return Status::ok();
 }
@@ -410,7 +410,7 @@ LegacyWalEngine::persistCommit(TxId txid,
         FASP_RETURN_IF_ERROR(wal_.commitTx(
             txid, std::span<const wal::WalDirtyPage>(pages)));
     }
-    if (config_.autoCheckpoint && wal_.needsCheckpoint()) {
+    if (wal_.needsCheckpoint()) {
         PhaseScope phase(Component::Checkpoint);
         return wal_.checkpoint();
     }

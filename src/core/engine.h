@@ -94,10 +94,6 @@ struct EngineConfig
     /** PCAS failure-injection / retry policy (FAST + PCAS only). */
     pm::PcasConfig pcas;
 
-    /** Run the lazy checkpoint automatically when the log fills
-     *  (NVWAL / LegacyWal). */
-    bool autoCheckpoint = true;
-
     /** Formatting parameters (used when format = true). */
     pager::Pager::FormatParams format;
 };

@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -121,37 +120,6 @@ appendMicros(std::string &out, std::uint64_t ns)
                   static_cast<unsigned>(ns % 1000));
     appendU64(out, ns / 1000);
     out += frac;
-}
-
-/** Prometheus metric-name charset: [a-zA-Z_:][a-zA-Z0-9_:]*. */
-std::string
-promName(std::string_view name)
-{
-    std::string out = "fasp_";
-    for (char c : name) {
-        if (std::isalnum(static_cast<unsigned char>(c)) || c == '_')
-            out += c;
-        else
-            out += '_';
-    }
-    return out;
-}
-
-/** Prometheus label values only need backslash/quote/newline escaping. */
-std::string
-promLabel(std::string_view s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '\\' || c == '"')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
 }
 
 } // namespace
@@ -508,214 +476,6 @@ exportJson(const std::string &benchName,
 }
 
 std::string
-exportPrometheus(const std::string &benchName,
-                 const MetricsRegistry &registry,
-                 const PhaseLedger &ledger,
-                 const RecoveryLedger &recovery,
-                 const SpanProfiler *spans)
-{
-    std::string out;
-    out += "# fasp metrics export, bench=\"" + promLabel(benchName)
-        + "\"\n";
-
-    for (const auto &[name, value] : registry.counters()) {
-        std::string n = promName(name);
-        out += "# TYPE " + n + " counter\n";
-        out += n + " " + std::to_string(value) + "\n";
-    }
-
-    for (const auto &[name, value] : registry.gauges()) {
-        std::string n = promName(name);
-        out += "# TYPE " + n + " gauge\n";
-        out += n + " " + std::to_string(value) + "\n";
-    }
-
-    for (const auto &[name, snap] : registry.histograms()) {
-        std::string n = promName(name);
-        out += "# TYPE " + n + " summary\n";
-        out += n + "{quantile=\"0.5\"} " + std::to_string(snap.p50)
-            + "\n";
-        out += n + "{quantile=\"0.95\"} " + std::to_string(snap.p95)
-            + "\n";
-        out += n + "{quantile=\"0.99\"} " + std::to_string(snap.p99)
-            + "\n";
-        out += n + "_sum " + std::to_string(snap.sum) + "\n";
-        out += n + "_count " + std::to_string(snap.count) + "\n";
-        out += n + "_max " + std::to_string(snap.max) + "\n";
-    }
-
-    auto emitCell = [&out](const std::string &prefix,
-                           const std::string &labels,
-                           const pm::PmCell &cell) {
-        out += prefix + "_stores{" + labels + "} "
-            + std::to_string(cell.stores) + "\n";
-        out += prefix + "_store_bytes{" + labels + "} "
-            + std::to_string(cell.storeBytes) + "\n";
-        out += prefix + "_flushes{" + labels + "} "
-            + std::to_string(cell.flushes) + "\n";
-        out += prefix + "_fences{" + labels + "} "
-            + std::to_string(cell.fences) + "\n";
-        out += prefix + "_model_ns{" + labels + "} "
-            + std::to_string(cell.modelNs) + "\n";
-    };
-
-    out += "# TYPE fasp_pm_phase_flushes counter\n";
-    for (const auto &entry : ledger.entries()) {
-        for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
-            const pm::PmCell &cell = entry.phases[i];
-            if (noPmCost(cell))
-                continue;
-            std::string labels = "engine=\"" + promLabel(entry.engine)
-                + "\",phase=\""
-                + promLabel(pm::componentName(
-                      static_cast<pm::Component>(i)))
-                + "\"";
-            emitCell("fasp_pm_phase", labels, cell);
-        }
-        for (const auto &[site, cell] : entry.sites) {
-            std::string labels = "engine=\"" + promLabel(entry.engine)
-                + "\",site=\"" + promLabel(site) + "\"";
-            emitCell("fasp_pm_site", labels, cell);
-        }
-    }
-
-    auto rentries = recovery.entries();
-    if (!rentries.empty()) {
-        out += "# TYPE fasp_recovery_runs counter\n";
-        for (const auto &rentry : rentries) {
-            std::string eng =
-                "engine=\"" + promLabel(rentry.engine) + "\"";
-            out += "fasp_recovery_runs{" + eng + "} "
-                + std::to_string(rentry.recoveries) + "\n";
-            out += "fasp_recovery_pages_scanned{" + eng + "} "
-                + std::to_string(rentry.pagesScanned) + "\n";
-            out += "fasp_recovery_records_replayed{" + eng + "} "
-                + std::to_string(rentry.recordsReplayed) + "\n";
-            out += "fasp_recovery_records_discarded{" + eng + "} "
-                + std::to_string(rentry.recordsDiscarded) + "\n";
-            out += "fasp_recovery_torn_records{" + eng + "} "
-                + std::to_string(rentry.tornRecords) + "\n";
-            for (std::size_t i = 0; i < kNumRecoveryPhases; ++i) {
-                const HistogramSnapshot &snap = rentry.phases[i];
-                std::string labels = eng + ",phase=\""
-                    + promLabel(recoveryPhaseName(
-                          static_cast<RecoveryPhase>(i)))
-                    + "\"";
-                out += "fasp_recovery_phase_ns_sum{" + labels + "} "
-                    + std::to_string(snap.sum) + "\n";
-                out += "fasp_recovery_phase_ns_count{" + labels + "} "
-                    + std::to_string(snap.count) + "\n";
-                out += "fasp_recovery_phase_ns{" + labels
-                    + ",quantile=\"0.5\"} " + std::to_string(snap.p50)
-                    + "\n";
-                out += "fasp_recovery_phase_ns{" + labels
-                    + ",quantile=\"0.95\"} " + std::to_string(snap.p95)
-                    + "\n";
-            }
-        }
-    }
-
-    if (spans != nullptr) {
-        // Span profiler: bounded series only — per-engine summaries
-        // (≤ 5 engines), the top contended latch slots (≤ 16), and
-        // the heat sketch's top pages (≤ 16). Unbounded data (full
-        // slot table, outlier timelines) stays JSON-only.
-        auto summaries = spans->engineSummaries();
-        if (!summaries.empty()) {
-            out += "# TYPE fasp_span_total counter\n";
-            for (const EngineSpanSummary &es : summaries) {
-                std::string eng = "engine=\""
-                    + promLabel(es.engine != nullptr ? es.engine : "?")
-                    + "\"";
-                out += "fasp_span_total{" + eng + "} "
-                    + std::to_string(es.spans) + "\n";
-                out += "fasp_span_commits{" + eng + "} "
-                    + std::to_string(es.commits) + "\n";
-                out += "fasp_span_aborts{" + eng + "} "
-                    + std::to_string(es.aborts) + "\n";
-                out += "fasp_span_wall_ns{" + eng
-                    + ",quantile=\"0.5\"} "
-                    + std::to_string(es.wallNs.p50) + "\n";
-                out += "fasp_span_wall_ns{" + eng
-                    + ",quantile=\"0.95\"} "
-                    + std::to_string(es.wallNs.p95) + "\n";
-                out += "fasp_span_wall_ns{" + eng
-                    + ",quantile=\"0.99\"} "
-                    + std::to_string(es.wallNs.p99) + "\n";
-                out += "fasp_span_wall_ns_sum{" + eng + "} "
-                    + std::to_string(es.wallNs.sum) + "\n";
-                out += "fasp_span_wall_ns_count{" + eng + "} "
-                    + std::to_string(es.wallNs.count) + "\n";
-                out += "fasp_span_wall_ns_max{" + eng + "} "
-                    + std::to_string(es.wallNs.max) + "\n";
-                for (std::size_t i = 0; i < pm::kNumComponents; ++i) {
-                    if (es.phaseNs[i] == 0)
-                        continue;
-                    out += "fasp_span_phase_ns{" + eng + ",phase=\""
-                        + promLabel(pm::componentName(
-                              static_cast<pm::Component>(i)))
-                        + "\"} " + std::to_string(es.phaseNs[i])
-                        + "\n";
-                }
-                out += "fasp_span_latch_wait_ns{" + eng + "} "
-                    + std::to_string(es.latchWaitNs) + "\n";
-                out += "fasp_span_pcas_retries{" + eng + "} "
-                    + std::to_string(es.pcasRetries) + "\n";
-                out += "fasp_span_wal_appends{" + eng + "} "
-                    + std::to_string(es.walAppends) + "\n";
-                out += "fasp_span_splits{" + eng + "} "
-                    + std::to_string(es.splits) + "\n";
-                out += "fasp_span_defrags{" + eng + "} "
-                    + std::to_string(es.defrags) + "\n";
-            }
-        }
-        out += "# TYPE fasp_latch_wait_total counter\n";
-        out += "fasp_latch_wait_total "
-            + std::to_string(spans->totalLatchWaits()) + "\n";
-        out += "fasp_latch_conflict_total "
-            + std::to_string(spans->totalLatchConflicts()) + "\n";
-        out += "fasp_latch_contended_slots "
-            + std::to_string(spans->contendedSlotCount()) + "\n";
-        for (const LatchSlotSummary &ls : spans->latchContention()) {
-            std::string labels =
-                "slot=\"" + std::to_string(ls.slot) + "\"";
-            out += "fasp_latch_slot_waits{" + labels + "} "
-                + std::to_string(ls.waits) + "\n";
-            out += "fasp_latch_slot_conflicts{" + labels + "} "
-                + std::to_string(ls.conflicts) + "\n";
-            out += "fasp_latch_slot_wait_ns_sum{" + labels + "} "
-                + std::to_string(ls.waitNs) + "\n";
-            out += "fasp_latch_slot_wait_ns{" + labels
-                + ",quantile=\"0.95\"} "
-                + std::to_string(ls.hist.p95) + "\n";
-            out += "fasp_latch_slot_wait_ns{" + labels
-                + ",quantile=\"0.99\"} "
-                + std::to_string(ls.hist.p99) + "\n";
-        }
-        PageHeatSnapshot heat = spans->pageHeat(16);
-        out += "# TYPE fasp_page_hot_accesses counter\n";
-        out += "fasp_page_hot_tracked "
-            + std::to_string(heat.tracked) + "\n";
-        out += "fasp_page_hot_overflow "
-            + std::to_string(heat.overflow) + "\n";
-        out += "fasp_page_hot_decays "
-            + std::to_string(heat.decays) + "\n";
-        for (const PageHeatEntry &pe : heat.top) {
-            std::string labels =
-                "page=\"" + std::to_string(pe.page) + "\"";
-            out += "fasp_page_hot_accesses{" + labels + "} "
-                + std::to_string(pe.accesses) + "\n";
-            out += "fasp_page_hot_dirty{" + labels + "} "
-                + std::to_string(pe.dirty) + "\n";
-            out += "fasp_page_hot_conflicts{" + labels + "} "
-                + std::to_string(pe.conflicts) + "\n";
-        }
-    }
-
-    return out;
-}
-
-std::string
 exportChromeTrace(const SpanProfiler &spans)
 {
     // chrome://tracing "complete" (ph:"X") events at each span's real
@@ -761,20 +521,10 @@ exportChromeTrace(const SpanProfiler &spans)
 bool
 writeMetricsFile(const std::string &path, const std::string &benchName)
 {
-    std::string body;
-    bool prom = path.size() >= 5 &&
-        path.compare(path.size() - 5, 5, ".prom") == 0;
-    if (prom) {
-        body = exportPrometheus(benchName, MetricsRegistry::global(),
-                                PhaseLedger::global(),
-                                RecoveryLedger::global(),
-                                &SpanProfiler::global());
-    } else {
-        body = exportJson(benchName, MetricsRegistry::global(),
-                          PhaseLedger::global(),
-                          RecoveryLedger::global(),
-                          &SpanProfiler::global());
-    }
+    std::string body = exportJson(benchName, MetricsRegistry::global(),
+                                  PhaseLedger::global(),
+                                  RecoveryLedger::global(),
+                                  &SpanProfiler::global());
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) {
         std::fprintf(stderr, "metrics: cannot open %s for writing\n",

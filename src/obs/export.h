@@ -1,13 +1,12 @@
 /**
  * @file
- * Exporters for the obs layer: JSON (machine-diffable, consumed by
- * tools/metrics_check, tools/fasp-profile, and the golden-file ctest)
- * and Prometheus text exposition (scrape-ready). Both render the same
- * data: the metrics registry, the per-engine PM phase/site attribution
- * ledger, the recovery ledger, and the span profiler's per-engine
- * summaries, latch contention profile, page-hotness sketch, and
- * captured p99 outliers. A third exporter renders the span rings as a
- * chrome://tracing timeline.
+ * Exporters for the obs layer. The JSON export (machine-diffable,
+ * consumed by tools/metrics_check, tools/fasp-profile, and the
+ * golden-file ctest) renders the metrics registry, the per-engine PM
+ * phase/site attribution ledger, the recovery ledger, and the span
+ * profiler's per-engine summaries, latch contention profile,
+ * page-hotness sketch, and captured p99 outliers. A second exporter
+ * renders the span rings as a chrome://tracing timeline.
  */
 
 #ifndef FASP_OBS_EXPORT_H
@@ -33,15 +32,6 @@ std::string exportJson(const std::string &benchName,
                        const RecoveryLedger &recovery,
                        const SpanProfiler *spans = nullptr);
 
-/** Render everything as Prometheus text exposition format. @p spans as
- *  in exportJson(): null renders no fasp_span_* / fasp_latch_* /
- *  fasp_page_hot_* series. */
-std::string exportPrometheus(const std::string &benchName,
-                             const MetricsRegistry &registry,
-                             const PhaseLedger &ledger,
-                             const RecoveryLedger &recovery,
-                             const SpanProfiler *spans = nullptr);
-
 /** Render the span rings' retained spans as a chrome://tracing /
  *  Perfetto JSON document: one complete ("ph": "X") event per span at
  *  its real begin timestamp and wall duration (microseconds), with one
@@ -50,10 +40,9 @@ std::string exportPrometheus(const std::string &benchName,
 std::string exportChromeTrace(const SpanProfiler &spans);
 
 /**
- * Write the global registry/ledgers/profiler to @p path: Prometheus
- * text when the path ends in ".prom", JSON otherwise. Returns false
- * (after logging) when the file cannot be written. This is what the
- * benches' --metrics=PATH flag calls.
+ * Write the global registry/ledgers/profiler to @p path as JSON.
+ * Returns false (after logging) when the file cannot be written. This
+ * is what the benches' --metrics=PATH flag calls.
  */
 bool writeMetricsFile(const std::string &path,
                       const std::string &benchName);

@@ -27,8 +27,7 @@
  * begin timestamps, one track per ring.
  *
  * Everything exports through obs/export.cc (JSON sections `spans`,
- * `latch_contention`, `page_heat`, `outliers`; Prometheus
- * `fasp_span_*` / `fasp_latch_*` / `fasp_page_hot_*`) and renders via
+ * `latch_contention`, `page_heat`, `outliers`) and renders via
  * tools/fasp-profile.
  *
  * Off cost: every hot-path entry point starts with the same relaxed

@@ -214,8 +214,7 @@ PmDevice::loadU64Atomic(PmOffset off)
     mc::HookDepthGuard hook_depth;
     stats_.loads.fetch_add(1, std::memory_order_relaxed);
     stats_.loadBytes.fetch_add(8, std::memory_order_relaxed);
-    if (config_.chargeReads)
-        chargeReadLatency(off, 8);
+    chargeReadLatency(off, 8);
 
     if (config_.mode == PmMode::Direct) {
         std::atomic_ref<const std::uint64_t> word(*reinterpret_cast<
@@ -247,8 +246,7 @@ PmDevice::read(PmOffset off, void *dst, std::size_t len)
     mc::HookDepthGuard hook_depth;
     stats_.loads.fetch_add(1, std::memory_order_relaxed);
     stats_.loadBytes.fetch_add(len, std::memory_order_relaxed);
-    if (config_.chargeReads)
-        chargeReadLatency(off, len);
+    chargeReadLatency(off, len);
     // V6: a plain read must not consume a PCAS dirty-tagged word (one
     // relaxed load inside onRead when no word is tagged).
     if (PersistencyChecker *chk = checker())

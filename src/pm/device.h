@@ -151,7 +151,6 @@ struct PmConfig
     std::size_t size = 64u << 20;        //!< device capacity in bytes
     PmMode mode = PmMode::Direct;
     LatencyModel latency;
-    bool chargeReads = true;             //!< model read-miss latency
     std::size_t tagCacheLines = 1u << 19;//!< simulated CPU cache capacity
                                          //!< (default 32 MiB of lines,
                                          //!< close to the testbed's LLC)

@@ -15,6 +15,7 @@
 #include "bench_util/runner.h"
 #include "core/fasp_engine.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace fasp::benchutil {
 namespace {
@@ -183,23 +184,32 @@ TEST_F(FoldCountersTest, PcasCommits)
     EXPECT_EQ(folded.count("htm.fallbacks"), 0u);
 }
 
-// The runners fold over their own measured phase: runInsertBench's
-// counters describe exactly the transactions its BenchResult reports.
+// runBench folds over its own measured phase: its counters describe
+// exactly the transactions its BenchResult reports, and verification
+// afterwards adds nothing (its reads roll back, so any that reached the
+// export would show as rollbacks or aborted spans).
 TEST_F(FoldCountersTest, InsertBenchFoldsItsMeasuredPhase)
 {
+    obs::SpanProfiler::global().reset();
     BenchConfig config;
     config.kind = EngineKind::Fast;
     config.commitVia = InPlaceCommitVia::Rtm;
     config.rtm.abortProbability = 1.0;
-    config.numTxns = 200;
-    BenchResult result = runInsertBench(config);
+    config.opsPerClient = 200;
+    BenchResult result = runBench(config);
 
     auto folded = foldedCounters();
-    EXPECT_EQ(folded["core.tx.commits"], result.engineStats.txCommitted);
-    EXPECT_EQ(folded["core.tx.commits"], config.numTxns);
+    EXPECT_EQ(folded.count("core.tx.rollbacks"), 0u);
+    for (const obs::EngineSpanSummary &s :
+         obs::SpanProfiler::global().engineSummaries())
+        EXPECT_EQ(s.aborts, 0u) << s.engine;
+    EXPECT_EQ(folded["core.tx.commits"],
+              result.counters.engine.txCommitted);
+    EXPECT_EQ(folded["core.tx.commits"], config.opsPerClient);
     EXPECT_GT(folded["htm.fallbacks"], 0u);
-    EXPECT_EQ(folded["htm.fallbacks"], result.rtmStats.fallbacks);
-    EXPECT_EQ(folded["htm.aborts.injected"], result.rtmStats.abortsInjected);
+    EXPECT_EQ(folded["htm.fallbacks"], result.counters.rtm.fallbacks);
+    EXPECT_EQ(folded["htm.aborts.injected"],
+              result.counters.rtm.abortsInjected);
 }
 
 } // namespace

@@ -1,13 +1,13 @@
 /**
  * @file
  * Deterministic exporter demo: builds a fixed registry / phase ledger /
- * span profiler and writes the JSON, Prometheus and chrome://tracing
- * exports to the three paths given on the command line. A ctest diffs
+ * span profiler and writes the JSON and chrome://tracing exports to
+ * the two paths given on the command line. A ctest diffs
  * the output against golden files (tests/obs/golden/), so any
  * unintentional change to an export schema fails the build's test
  * suite.
  *
- * Usage: obs_export_demo <out.json> <out.prom> <out.trace.json>
+ * Usage: obs_export_demo <out.json> <out.trace.json>
  */
 
 #include <cstdio>
@@ -24,9 +24,9 @@ using namespace fasp;
 int
 main(int argc, char **argv)
 {
-    if (argc != 4) {
+    if (argc != 3) {
         std::fprintf(stderr, "usage: obs_export_demo <out.json> "
-                             "<out.prom> <out.trace.json>\n");
+                             "<out.trace.json>\n");
         return 2;
     }
 
@@ -153,12 +153,10 @@ main(int argc, char **argv)
 
     std::string json = obs::exportJson("obs_export_demo", registry,
                                        ledger, recovery, &profiler);
-    std::string prom = obs::exportPrometheus(
-        "obs_export_demo", registry, ledger, recovery, &profiler);
 
     // Chrome-trace fixture: a profiler of its own, so its spans can
     // carry distinct begin timestamps and come from two thread rings
-    // without perturbing the JSON / Prometheus goldens above.
+    // without perturbing the JSON golden above.
     obs::SpanProfiler timeline;
     obs::TxSpan first = fast_fast;
     first.beginNs = 1000000;
@@ -176,11 +174,9 @@ main(int argc, char **argv)
 
     std::ofstream jout(argv[1], std::ios::binary | std::ios::trunc);
     jout << json;
-    std::ofstream pout(argv[2], std::ios::binary | std::ios::trunc);
-    pout << prom;
-    std::ofstream tout(argv[3], std::ios::binary | std::ios::trunc);
+    std::ofstream tout(argv[2], std::ios::binary | std::ios::trunc);
     tout << trace;
-    if (!jout.good() || !pout.good() || !tout.good()) {
+    if (!jout.good() || !tout.good()) {
         std::fprintf(stderr, "obs_export_demo: write failed\n");
         return 1;
     }
