@@ -1,13 +1,14 @@
 /**
  * @file
- * Minimal JSON parser shared by the repo's report-validating tools
- * (metrics_check, bench_compare). Parses the subset the bench harness
- * emits — objects, arrays, strings with ASCII escapes, numbers,
- * literals — into a small DOM. Not a general-purpose JSON library.
+ * Minimal JSON parser and string escaper shared by the repo's tools.
+ * The parser reads the subset the bench harness emits — objects,
+ * arrays, strings with ASCII escapes, numbers, literals — into a small
+ * DOM. Not a general-purpose JSON library.
  */
 #pragma once
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -16,6 +17,35 @@
 #include <vector>
 
 namespace fasp::minijson {
+
+/** @p s escaped for use inside a JSON string literal (quotes not
+ *  added). Quote, backslash, newline, tab and carriage return take
+ *  their two-character escapes; other control characters are
+ *  hex-escaped. */
+inline std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
 
 struct JsonValue
 {

@@ -70,26 +70,19 @@
  *   stale-waiver   A waiver comment that suppressed nothing.
  *   waiver-needs-reason  Waiver without `-- <reason>` or naming an
  *                  unknown rule.
- *   frontend-error A translation unit the front end could not process
- *                  (never silently skipped).
+ *   frontend-error A source file the analyzer could not read (never
+ *                  silently skipped).
  *
  * Waiver syntax (one grammar for every rule):
  *
  *     // fasp-analyze: allow(<rule>) -- <reason>        next code line
  *     // fasp-analyze: allow-file(<rule>) -- <reason>   whole file
  *
- * Two interchangeable front ends produce the same IR:
- *
- *   clang     `clang++ -fsyntax-only -Xclang -ast-dump=json` per
- *             compile_commands.json entry, with on-disk AST caching
- *             keyed on a hash of the file contents + flags. Exact
- *             (type-checked receivers via the spelled source).
- *   internal  a built-in tokenizer + fuzzy statement parser over the
- *             repo's C++ subset. No toolchain dependency; this is what
- *             runs where clang is not installed.
- *
- * `--frontend=auto` (the default) picks clang when a working clang++
- * is on PATH and a compilation database is available, else internal.
+ * Front end: a built-in tokenizer + fuzzy statement parser over the
+ * repo's C++ subset (frontend_internal.cc), with no toolchain
+ * dependency. It does not type-check: it matches PmDevice receivers
+ * by name (`device`, `device_`, `dev`, `dev_`), so the rules see
+ * exactly the calls made through those names.
  */
 
 #ifndef FASP_TOOLS_ANALYZE_H
@@ -121,7 +114,7 @@ enum class OpKind : std::uint8_t {
 const char *opKindName(OpKind kind);
 
 /**
- * One node of the per-function statement tree. The front ends lower
+ * One node of the per-function statement tree. The front end lowers
  * C++ into this structured subset; the CFG builder lowers it further
  * into basic edges.
  */
@@ -177,7 +170,6 @@ struct FileIR
     std::string file;
     std::vector<Function> functions;
     std::vector<std::string> siteLiterals; //!< all SiteScope strings
-    std::size_t functionsScanned = 0;      //!< incl. op-free ones
 };
 
 // --- Findings ----------------------------------------------------------------
@@ -228,41 +220,11 @@ struct WaiverSet
 WaiverSet scanWaivers(const std::string &text, const std::string &file,
                       std::vector<Finding> &out);
 
-// --- Front ends --------------------------------------------------------------
+// --- Front end ---------------------------------------------------------------
 
-/** Parse raw C++ @p text of @p file into IR (built-in front end). */
+/** Parse raw C++ @p text of @p file into IR. */
 FileIR parseSourceInternal(const std::string &file,
                            const std::string &text);
-
-/**
- * Translate one clang `-ast-dump=json` document into IR. @p mainFile
- * restricts which files' functions are kept (empty = keep everything
- * under @p keepPrefixes). @p sources caches raw file text for slicing
- * argument expressions out of the spelled source.
- */
-struct ClangAstResult
-{
-    std::vector<FileIR> files;
-    std::string error; //!< non-empty on schema/parse failure
-};
-
-ClangAstResult parseClangAstJson(const std::string &json,
-                                 const std::vector<std::string> &keepPrefixes);
-
-// Shared protocol tables (one definition, both front ends).
-
-/** Method name -> OpKind; null when not a PmDevice protocol call. */
-const OpKind *protocolMethodOp(const std::string &name);
-
-/** True for the receiver spellings that denote the PM device. */
-bool isDeviceReceiverName(const std::string &name);
-
-/** True for the RAII latch-guard type names. */
-bool isGuardTypeName(const std::string &name);
-
-/** Canonicalize raw expression text the way the internal front end
- *  normalizes token spans (so `plan .off` == `plan.off`). */
-std::string normalizeExprText(const std::string &text);
 
 // --- Analysis ----------------------------------------------------------------
 

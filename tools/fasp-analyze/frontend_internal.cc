@@ -8,8 +8,8 @@
  * PmDevice-protocol operations the analysis cares about.
  *
  * Receivers are matched by name (`device`, `device_`, `dev`, `dev_`):
- * the tree's uniform naming makes this exact in practice, and the
- * clang front end cross-checks it where a real compiler is available.
+ * the tree's uniform naming makes this exact in practice. A PmDevice
+ * reached through any other name is invisible to every rule.
  *
  * Known approximations (shared with DESIGN.md §15):
  *  - loop/if condition expressions are evaluated once, before the
@@ -22,14 +22,15 @@
  */
 
 #include <algorithm>
-#include <array>
-#include <cstring>
+#include <cctype>
 
 #include "analyze.h"
 #include "lex.h"
 
 namespace fasp::analyze {
+namespace {
 
+/** True for the receiver spellings that denote the PM device. */
 bool
 isDeviceReceiverName(const std::string &name)
 {
@@ -37,6 +38,7 @@ isDeviceReceiverName(const std::string &name)
            || name == "dev_";
 }
 
+/** Method name -> OpKind; null when not a PmDevice protocol call. */
 const OpKind *
 protocolMethodOp(const std::string &name)
 {
@@ -60,14 +62,13 @@ protocolMethodOp(const std::string &name)
     return it == kOps.end() ? nullptr : &it->second;
 }
 
+/** True for the RAII latch-guard type names. */
 bool
 isGuardTypeName(const std::string &name)
 {
     return name == "MutexLock" || name == "SharedPageLatchGuard"
            || name == "ExclusivePageLatchGuard";
 }
-
-namespace {
 
 bool
 isWordCharStr(const std::string &s)
@@ -295,7 +296,6 @@ class Parser
         currentFnSites_.clear();
         if (containsOps(fn.body) || !fn.siteLiterals.empty())
             out_.functions.push_back(std::move(fn));
-        out_.functionsScanned++;
         return true;
     }
 
@@ -632,20 +632,6 @@ parseSourceInternal(const std::string &file, const std::string &text)
     FileIR ir = parser.run();
     ir.file = file;
     return ir;
-}
-
-std::string
-normalizeExprText(const std::string &text)
-{
-    std::vector<Token> toks = tokenize(lexLines(text));
-    std::string out;
-    for (const Token &t : toks) {
-        if (!out.empty() && isWordCharStr(t.text)
-            && isWordCharStr(std::string(1, out.back())))
-            out += ' ';
-        out += t.text;
-    }
-    return out;
 }
 
 } // namespace fasp::analyze

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lexical layer shared by the internal front end, the textual rules
+ * Lexical layer shared by the front end, the textual rules
  * and the waiver scanner: comment/string-aware line views (so prose
  * never looks like code) and a coarse C++ tokenizer with line numbers.
  */

@@ -4,14 +4,6 @@
  *
  *   fasp-analyze [options] [path...]        default path: src
  *
- *   --frontend=auto|internal|clang  front-end selection (default auto:
- *                                   clang when clang++ and a compdb
- *                                   exist, else the built-in parser)
- *   --compdb=FILE     compile_commands.json (default: probe
- *                     build/compile_commands.json, compile_commands.json)
- *   --clang=BIN       clang++ binary to drive (default clang++)
- *   --cache-dir=DIR   cache clang AST dumps keyed on source+flags hash
- *   --clang-json=FILE translate one pre-dumped AST JSON (fixture mode)
  *   --json[=FILE]     machine-readable report (stdout when no FILE)
  *   --werror          warnings fail the run
  *   --sites           dump static PM-store sites as JSON and exit
@@ -23,7 +15,7 @@
  */
 
 #include <algorithm>
-#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -34,17 +26,13 @@
 
 namespace fs = std::filesystem;
 using namespace fasp::analyze;
+using fasp::minijson::jsonEscape;
 
 namespace {
 
 struct Options
 {
     std::vector<std::string> paths;
-    std::string frontend = "auto";
-    std::string compdb;
-    std::string clangBin = "clang++";
-    std::string cacheDir;
-    std::string clangJson;
     std::string jsonOut; //!< "-" = stdout
     bool emitJson = false;
     bool werror = false;
@@ -62,41 +50,6 @@ readFile(const std::string &path, std::string &out)
     os << in.rdbuf();
     out = os.str();
     return true;
-}
-
-std::uint64_t
-fnv1a64(const std::string &data, std::uint64_t seed = 14695981039346656037ULL)
-{
-    std::uint64_t h = seed;
-    for (unsigned char c : data) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** Report paths relative to the working directory when possible. */
@@ -171,19 +124,6 @@ parseArgs(int argc, char **argv, Options &opts)
             for (const std::string &r : knownRules())
                 std::cout << r << "\n";
             std::exit(0);
-        } else if (arg.rfind("--frontend=", 0) == 0) {
-            opts.frontend = valueOf(arg);
-            if (opts.frontend != "auto" && opts.frontend != "internal"
-                && opts.frontend != "clang")
-                return usageError("bad --frontend value");
-        } else if (arg.rfind("--compdb=", 0) == 0) {
-            opts.compdb = valueOf(arg);
-        } else if (arg.rfind("--clang=", 0) == 0) {
-            opts.clangBin = valueOf(arg);
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            opts.cacheDir = valueOf(arg);
-        } else if (arg.rfind("--clang-json=", 0) == 0) {
-            opts.clangJson = valueOf(arg);
         } else if (arg == "--json") {
             opts.emitJson = true;
             opts.jsonOut = "-";
@@ -205,136 +145,6 @@ parseArgs(int argc, char **argv, Options &opts)
     }
     if (opts.paths.empty())
         opts.paths.push_back("src");
-    return true;
-}
-
-// --- clang driver ------------------------------------------------------------
-
-bool
-clangAvailable(const std::string &bin)
-{
-    std::string cmd = bin + " --version >/dev/null 2>&1";
-    return std::system(cmd.c_str()) == 0;
-}
-
-std::string
-findCompdb(const Options &opts)
-{
-    if (!opts.compdb.empty())
-        return opts.compdb;
-    for (const char *probe :
-         {"build/compile_commands.json", "compile_commands.json"})
-        if (fs::exists(probe))
-            return probe;
-    return {};
-}
-
-struct CompdbEntry
-{
-    std::string directory;
-    std::string file;
-    std::vector<std::string> args;
-};
-
-bool
-loadCompdb(const std::string &path, std::vector<CompdbEntry> &out,
-           std::string &err)
-{
-    std::string text;
-    if (!readFile(path, text)) {
-        err = "cannot read " + path;
-        return false;
-    }
-    fasp::minijson::JsonParser parser(text);
-    auto root = parser.parse();
-    if (!root || root->kind != fasp::minijson::JsonValue::Array) {
-        err = path + ": " + parser.error();
-        return false;
-    }
-    for (const auto &entry : root->items) {
-        CompdbEntry e;
-        if (const auto *d = entry.find("directory"))
-            e.directory = d->str;
-        if (const auto *f = entry.find("file"))
-            e.file = f->str;
-        if (const auto *a = entry.find("arguments")) {
-            for (const auto &tok : a->items)
-                e.args.push_back(tok.str);
-        } else if (const auto *c = entry.find("command")) {
-            std::istringstream is(c->str);
-            std::string tok;
-            while (is >> tok)
-                e.args.push_back(tok);
-        }
-        if (!e.file.empty() && !e.args.empty())
-            out.push_back(std::move(e));
-    }
-    return true;
-}
-
-/** Rewrite a compile command into a clang AST-dump command. */
-std::string
-astDumpCommand(const CompdbEntry &entry, const std::string &clangBin)
-{
-    std::ostringstream cmd;
-    cmd << "cd " << entry.directory << " && " << clangBin;
-    for (std::size_t i = 1; i < entry.args.size(); ++i) {
-        const std::string &a = entry.args[i];
-        if (a == "-c")
-            continue;
-        if (a == "-o") {
-            ++i; // skip the object path too
-            continue;
-        }
-        cmd << " '" << a << "'";
-    }
-    cmd << " -fsyntax-only -Wno-everything -Xclang -ast-dump=json"
-        << " 2>/dev/null";
-    return cmd.str();
-}
-
-bool
-runCommandCapture(const std::string &cmd, std::string &out)
-{
-    FILE *pipe = ::popen(cmd.c_str(), "r");
-    if (pipe == nullptr)
-        return false;
-    char buf[1 << 16];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
-        out.append(buf, n);
-    return ::pclose(pipe) == 0;
-}
-
-/** AST dump for one TU, through the on-disk cache when enabled. */
-bool
-astDumpCached(const CompdbEntry &entry, const Options &opts,
-              std::string &json)
-{
-    std::string cmd = astDumpCommand(entry, opts.clangBin);
-    std::string cachePath;
-    if (!opts.cacheDir.empty()) {
-        std::string src;
-        readFile(entry.file, src);
-        std::uint64_t key = fnv1a64(cmd, fnv1a64(src));
-        char hex[32];
-        std::snprintf(hex, sizeof hex, "%016llx",
-                      static_cast<unsigned long long>(key));
-        std::error_code ec;
-        fs::create_directories(opts.cacheDir, ec);
-        cachePath = opts.cacheDir + "/"
-                    + fs::path(entry.file).stem().string() + "-" + hex
-                    + ".astjson";
-        if (readFile(cachePath, json) && !json.empty())
-            return true;
-        json.clear();
-    }
-    if (!runCommandCapture(cmd, json) || json.empty())
-        return false;
-    if (!cachePath.empty()) {
-        std::ofstream out(cachePath, std::ios::binary);
-        out << json;
-    }
     return true;
 }
 
@@ -360,15 +170,15 @@ printFindings(const std::vector<Finding> &findings)
 }
 
 void
-writeJsonReport(const Options &opts, const std::string &frontend,
-                std::size_t files, std::size_t functions,
+writeJsonReport(const Options &opts, std::size_t files,
+                std::size_t functions,
                 const std::vector<Finding> &findings,
                 std::size_t errors, std::size_t warnings)
 {
     std::ostringstream os;
-    os << "{\n  \"tool\": \"fasp-analyze\",\n  \"frontend\": \""
-       << frontend << "\",\n  \"files\": " << files
-       << ",\n  \"functions\": " << functions
+    os << "{\n  \"tool\": \"fasp-analyze\",\n  \"frontend\": "
+          "\"internal\",\n  \"files\": "
+       << files << ",\n  \"functions\": " << functions
        << ",\n  \"errors\": " << errors << ",\n  \"warnings\": "
        << warnings << ",\n  \"findings\": [";
     for (std::size_t i = 0; i < findings.size(); ++i) {
@@ -501,121 +311,22 @@ main(int argc, char **argv)
         return 2;
     }
 
+    // Parse every file and run the per-file textual rules and waiver
+    // scan over the same text.
     std::vector<Finding> findings;
     std::vector<FileIR> irs;
-    std::string frontendUsed = "internal";
-
-    if (!opts.clangJson.empty()) {
-        // Fixture mode: translate one pre-dumped AST document.
-        frontendUsed = "clang-json";
-        std::string json;
-        if (!readFile(opts.clangJson, json)) {
-            std::cerr << "fasp-analyze: cannot read " << opts.clangJson
-                      << "\n";
-            return 2;
+    std::map<std::string, WaiverSet> waivers;
+    for (const std::string &f : files) {
+        std::string text;
+        if (!readFile(f, text)) {
+            findings.push_back({f, 1, "frontend-error",
+                                "cannot read file", "",
+                                Severity::Error});
+            continue;
         }
-        ClangAstResult result = parseClangAstJson(json, {});
-        if (!result.error.empty()) {
-            findings.push_back({opts.clangJson, 1, "frontend-error",
-                                result.error, "", Severity::Error});
-        }
-        irs = std::move(result.files);
-        files.clear(); // waivers come from the IR files below
-        for (const FileIR &ir : irs)
-            files.push_back(ir.file);
-    } else {
-        bool wantClang = opts.frontend == "clang";
-        if (opts.frontend == "auto")
-            wantClang = clangAvailable(opts.clangBin)
-                        && !findCompdb(opts).empty();
-
-        std::set<std::string> clangCovered;
-        if (wantClang) {
-            frontendUsed = "clang";
-            std::string compdbPath = findCompdb(opts);
-            std::vector<CompdbEntry> compdb;
-            if (compdbPath.empty()
-                || !loadCompdb(compdbPath, compdb, err)) {
-                std::cerr << "fasp-analyze: "
-                          << (err.empty() ? "no compile_commands.json "
-                                            "found (--compdb=...)"
-                                          : err)
-                          << "\n";
-                return 2;
-            }
-            // Keep-prefixes: the analyzed roots, absolute.
-            std::vector<std::string> keep;
-            for (const std::string &p : opts.paths) {
-                std::error_code ec;
-                fs::path abs = fs::weakly_canonical(p, ec);
-                keep.push_back(ec ? p : abs.string());
-            }
-            std::set<std::string> wanted;
-            for (const std::string &f : files) {
-                std::error_code ec;
-                fs::path abs = fs::weakly_canonical(f, ec);
-                wanted.insert(ec ? f : abs.string());
-            }
-            std::set<std::string> seenFns; //!< file:line across TUs
-            for (const CompdbEntry &entry : compdb) {
-                std::error_code ec;
-                fs::path abs =
-                    fs::weakly_canonical(entry.file, ec);
-                std::string file = ec ? entry.file : abs.string();
-                if (wanted.count(file) == 0)
-                    continue;
-                std::string json;
-                if (!astDumpCached(entry, opts, json)) {
-                    findings.push_back(
-                        {entry.file, 1, "frontend-error",
-                         "clang AST dump failed for this translation "
-                         "unit (re-run the compile command by hand "
-                         "to see diagnostics)",
-                         "", Severity::Error});
-                    continue;
-                }
-                ClangAstResult result =
-                    parseClangAstJson(json, keep);
-                if (!result.error.empty()) {
-                    findings.push_back({entry.file, 1,
-                                        "frontend-error", result.error,
-                                        "", Severity::Error});
-                    continue;
-                }
-                for (FileIR &ir : result.files) {
-                    clangCovered.insert(ir.file);
-                    FileIR kept;
-                    kept.file = ir.file;
-                    kept.siteLiterals = ir.siteLiterals;
-                    kept.functionsScanned = ir.functionsScanned;
-                    for (Function &fn : ir.functions) {
-                        std::string key =
-                            fn.file + ":" + std::to_string(fn.line);
-                        if (seenFns.insert(key).second)
-                            kept.functions.push_back(std::move(fn));
-                    }
-                    irs.push_back(std::move(kept));
-                }
-            }
-        }
-
-        // Internal front end: everything clang did not cover (all
-        // files when clang is off; headers outside every TU, etc).
-        for (const std::string &f : files) {
-            std::error_code ec;
-            fs::path abs = fs::weakly_canonical(f, ec);
-            if (clangCovered.count(ec ? f : abs.string()) != 0
-                || clangCovered.count(f) != 0)
-                continue;
-            std::string text;
-            if (!readFile(f, text)) {
-                findings.push_back({f, 1, "frontend-error",
-                                    "cannot read file", "",
-                                    Severity::Error});
-                continue;
-            }
-            irs.push_back(parseSourceInternal(f, text));
-        }
+        irs.push_back(parseSourceInternal(f, text));
+        checkTextualRules(f, text, findings);
+        waivers[f] = scanWaivers(text, f, findings);
     }
 
     if (opts.sites)
@@ -632,16 +343,6 @@ main(int argc, char **argv)
             ++functions;
             analyzeFunction(fn, aopts, findings);
         }
-    }
-
-    // --- textual rules + waivers, once per file ------------------------
-    std::map<std::string, WaiverSet> waivers;
-    for (const FileIR &ir : irs) {
-        std::string text;
-        if (waivers.count(ir.file) != 0 || !readFile(ir.file, text))
-            continue;
-        checkTextualRules(ir.file, text, findings);
-        waivers[ir.file] = scanWaivers(text, ir.file, findings);
     }
 
     std::vector<Finding> kept;
@@ -680,11 +381,11 @@ main(int argc, char **argv)
     printFindings(kept);
     std::cout << "fasp-analyze: " << irs.size() << " files, "
               << functions << " functions with PM ops, " << errors
-              << " errors, " << warnings << " warnings (frontend: "
-              << frontendUsed << ")\n";
+              << " errors, " << warnings
+              << " warnings (frontend: internal)\n";
     if (opts.emitJson)
-        writeJsonReport(opts, frontendUsed, irs.size(), functions,
-                        kept, errors, warnings);
+        writeJsonReport(opts, irs.size(), functions, kept, errors,
+                        warnings);
 
     if (errors > 0 || (opts.werror && warnings > 0))
         return 1;

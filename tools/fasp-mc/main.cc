@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/mini_json.h"
 #include "mc/explorer.h"
 #include "mc/scenarios.h"
 #include "mc/trace.h"
@@ -63,29 +64,6 @@ parseU64(const char *s, std::uint64_t &out)
     return end != nullptr && *end == '\0' && end != s;
 }
 
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    for (char c : in) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
 printViolations(const char *prefix,
                 const std::vector<fasp::mc::McViolation> &vs)
@@ -102,6 +80,7 @@ int
 main(int argc, char **argv)
 {
     using namespace fasp::mc;
+    using fasp::minijson::jsonEscape;
 
     std::string scenarioName;
     std::string replayPath;

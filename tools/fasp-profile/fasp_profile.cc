@@ -40,6 +40,7 @@ namespace {
 
 using fasp::minijson::JsonParser;
 using fasp::minijson::JsonValue;
+using fasp::minijson::jsonEscape;
 
 std::uint64_t
 num(const JsonValue &obj, const char *key)
@@ -264,26 +265,14 @@ printText(const JsonValue &doc, bool stable)
 
 // --- JSON artifact ---------------------------------------------------------
 
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-}
-
 /** Condensed profile (the CI artifact): per-engine totals, the hot
  *  latch slots, the hot pages, and the outlier headlines (dominant
  *  phase per outlier). */
 void
 printJson(const JsonValue &doc)
 {
-    std::string out = "{\"tool\": \"fasp-profile\", \"bench\": ";
-    jsonEscape(out, str(doc, "bench"));
+    std::string out = "{\"tool\": \"fasp-profile\", \"bench\": \"" +
+        jsonEscape(str(doc, "bench")) + "\"";
     out += ", \"schema_version\": " +
         std::to_string(num(doc, "schema_version"));
 
@@ -297,8 +286,7 @@ printJson(const JsonValue &doc)
             if (!first)
                 out += ", ";
             first = false;
-            out += "{\"engine\": ";
-            jsonEscape(out, name);
+            out += "{\"engine\": \"" + jsonEscape(name) + "\"";
             const JsonValue *wall = es.find("wall_ns");
             out += ", \"spans\": " + std::to_string(num(es, "spans"));
             out += ", \"commits\": " +
@@ -319,8 +307,8 @@ printJson(const JsonValue &doc)
                     dominant_ns = sorted.front().second;
                 }
             }
-            out += ", \"dominant_phase\": ";
-            jsonEscape(out, dominant);
+            out += ", \"dominant_phase\": \"" + jsonEscape(dominant) +
+                "\"";
             out += ", \"dominant_phase_ns\": " +
                 std::to_string(dominant_ns);
             out += "}";
@@ -365,8 +353,8 @@ printJson(const JsonValue &doc)
             if (i != 0)
                 out += ", ";
             const JsonValue &o = outliers->items[i];
-            out += "{\"engine\": ";
-            jsonEscape(out, str(o, "engine"));
+            out += "{\"engine\": \"" + jsonEscape(str(o, "engine")) +
+                "\"";
             out += ", \"tx_id\": " + std::to_string(num(o, "tx_id"));
             out += ", \"wall_ns\": " +
                 std::to_string(num(o, "wall_ns"));
@@ -379,8 +367,8 @@ printJson(const JsonValue &doc)
                     dominant_ns = sorted.front().second;
                 }
             }
-            out += ", \"dominant_phase\": ";
-            jsonEscape(out, dominant);
+            out += ", \"dominant_phase\": \"" + jsonEscape(dominant) +
+                "\"";
             out += ", \"dominant_phase_ns\": " +
                 std::to_string(dominant_ns);
             out += "}";
@@ -414,8 +402,7 @@ writeChromeTrace(const JsonValue &doc, const std::string &path)
                     durUs = 1;
                 out += first ? "\n" : ",\n";
                 first = false;
-                out += "  {\"name\": ";
-                jsonEscape(out, name);
+                out += "  {\"name\": \"" + jsonEscape(name) + "\"";
                 out += ", \"cat\": \"" + std::string(cat) +
                     "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " +
                     std::to_string(tid) +
