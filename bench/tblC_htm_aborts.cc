@@ -5,7 +5,7 @@
  * retries until it succeeds, or alternatively falls back to
  * slot-header logging after repeated aborts).
  *
- * Four tables:
+ * Five tables:
  *
  *  1. Injected-abort sweep (single client, RTM commit): commit cost
  *     degrading gracefully toward FASH as more commits take the
@@ -14,11 +14,10 @@
  *  2. Abort-class breakdown by client count (RTM commit): with
  *     concurrent clients the emulated RTM also aborts on real
  *     write-set contention (line-lock conflicts at commit), so the
- *     per-class counters (explicit / injected / contention /
- *     capacity) separate "we asked for it" aborts from genuine
- *     interference. Capacity stays 0 here — FAST's single-page
- *     commits touch one cache line by construction — and is exercised
- *     by the RTM unit tests instead.
+ *     per-class counters (injected / contention) separate modelled
+ *     aborts from genuine interference. FAST's header publish never
+ *     issues XABORT and touches one cache line by construction, so
+ *     the emulation has no explicit or capacity class.
  *
  *  3. Injected-failure sweep for the default PCAS commit (DESIGN.md
  *     §14): the same ablation for the CAS path, whose per-attempt
@@ -96,8 +95,8 @@ main(int argc, char **argv)
         "(retry budget 64, then slot-header-logging fallback)";
     table.print(sweep_title);
 
-    Table classes({"clients", "begins", "commits", "explicit",
-                   "injected", "contention", "capacity", "fallbacks"});
+    Table classes({"clients", "begins", "commits", "injected",
+                   "contention", "fallbacks"});
     const std::size_t client_counts[] = {1, 2, 4};
     for (std::size_t clients : client_counts) {
         BenchConfig config;
@@ -109,10 +108,8 @@ main(int argc, char **argv)
         const htm::RtmStats rtm = runBench(config).counters.rtm;
         classes.addRow({Table::fmt(static_cast<std::uint64_t>(clients)),
                         Table::fmt(rtm.begins), Table::fmt(rtm.commits),
-                        Table::fmt(rtm.abortsExplicit),
                         Table::fmt(rtm.abortsInjected),
                         Table::fmt(rtm.abortsContention),
-                        Table::fmt(rtm.abortsCapacity),
                         Table::fmt(rtm.fallbacks)});
     }
     std::string class_title =

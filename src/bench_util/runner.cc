@@ -142,10 +142,8 @@ foldCounters(Engine &engine, const EngineCounters &before)
 
     add("core.tx.commits", d(e.txCommitted, e0.txCommitted));
     add("core.tx.rollbacks", d(e.txRolledBack, e0.txRolledBack));
-    std::uint64_t latch_conflicts =
-        now.latches.conflicts - before.latches.conflicts;
-    add("core.tx.latch_conflicts", latch_conflicts);
-    add("pager.latch.conflicts", latch_conflicts);
+    add("pager.latch.conflicts",
+        now.latches.conflicts - before.latches.conflicts);
     add("pager.latch.shared_acquires",
         now.latches.sharedAcquires - before.latches.sharedAcquires);
     add("pager.latch.exclusive_acquires",
@@ -153,22 +151,17 @@ foldCounters(Engine &engine, const EngineCounters &before)
     add("pager.latch.upgrades",
         now.latches.upgrades - before.latches.upgrades);
 
-    std::uint64_t pcas_fallbacks = d(e.pcasFallbacks, e0.pcasFallbacks);
-    add("core.tx.inplace_fallbacks",
-        d(r.fallbacks, r0.fallbacks) + pcas_fallbacks);
     if (now.commitViaPcas)
         add("core.pcas.commits", d(e.inPlaceCommits, e0.inPlaceCommits));
-    add("core.pcas.fallbacks", pcas_fallbacks);
+    add("core.pcas.fallbacks", d(e.pcasFallbacks, e0.pcasFallbacks));
     add("core.pcas.conflicts", d(p.casConflicts, p0.casConflicts));
     add("core.pcas.exhausted", d(p.casExhausted, p0.casExhausted));
 
     add("htm.commits", d(r.commits, r0.commits));
     add("htm.fallbacks", d(r.fallbacks, r0.fallbacks));
-    add("htm.aborts.explicit", d(r.abortsExplicit, r0.abortsExplicit));
     add("htm.aborts.injected", d(r.abortsInjected, r0.abortsInjected));
     add("htm.aborts.contention",
         d(r.abortsContention, r0.abortsContention));
-    add("htm.aborts.capacity", d(r.abortsCapacity, r0.abortsCapacity));
 }
 
 namespace {
@@ -208,11 +201,12 @@ matchFlag(int argc, char **argv, int i, const char *name,
     return false; // e.g. --ns=... must not match --n
 }
 
+} // namespace
+
 BenchArgs
-parseImpl(int &argc, char **argv, bool strip)
+BenchArgs::parse(int argc, char **argv)
 {
     BenchArgs args;
-    int out = 1;
     int i = 1;
     while (i < argc) {
         const char *value = nullptr;
@@ -256,35 +250,11 @@ parseImpl(int &argc, char **argv, bool strip)
             obs::FlightRecorder::setEnabled(true);
             matched = true;
         }
-        if (matched) {
-            i += consumed;
-            continue;
-        }
-        if (strip)
-            argv[out++] = argv[i];
-        ++i;
-    }
-    if (strip) {
-        argc = out;
-        argv[argc] = nullptr;
+        i += matched ? consumed : 1;
     }
     if (args.numTxns == 0)
         args.numTxns = 1;
     return args;
-}
-
-} // namespace
-
-BenchArgs
-BenchArgs::parse(int argc, char **argv)
-{
-    return parseImpl(argc, argv, false);
-}
-
-BenchArgs
-BenchArgs::parseAndStrip(int &argc, char **argv)
-{
-    return parseImpl(argc, argv, true);
 }
 
 void

@@ -253,11 +253,6 @@ struct BenchArgs
 
     static BenchArgs parse(int argc, char **argv);
 
-    /** Like parse(), but removes the recognised flags from argv (in
-     *  place, compacting; argc is updated) so a wrapped arg parser —
-     *  e.g. Google Benchmark's — never sees them. */
-    static BenchArgs parseAndStrip(int &argc, char **argv);
-
     /** Write the obs export to metricsPath and the chrome trace to
      *  tracePath (each a no-op when its flag was not given). Every
      *  bench main calls this after its run. */

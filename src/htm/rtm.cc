@@ -1,8 +1,6 @@
 #include "htm/rtm.h"
 
-#include <algorithm>
 #include <thread>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "pm/device.h"
@@ -34,11 +32,9 @@ Rtm::setConfig(const RtmConfig &config)
     rng_ = Rng(config.seed);
 }
 
-void
-Rtm::checkWriteSet(const RtmRegion &region) const
+PmOffset
+Rtm::writeLine(const RtmRegion &region)
 {
-    if (!config_.enforceSingleLine)
-        return;
     bool have_line = false;
     PmOffset line = 0;
     for (const auto &staged : region.writes_) {
@@ -63,6 +59,7 @@ Rtm::checkWriteSet(const RtmRegion &region) const
                       static_cast<unsigned long long>(first));
         }
     }
+    return line;
 }
 
 bool
@@ -74,44 +71,19 @@ Rtm::rollInjectedAbort()
     return rng_.nextBool(config_.abortProbability);
 }
 
-std::vector<std::size_t>
-Rtm::lockSlots(const RtmRegion &region) const
+bool
+Rtm::tryApply(const RtmRegion &region, PmOffset line)
 {
-    std::vector<std::size_t> slots;
-    for (const auto &staged : region.writes_) {
-        if (staged.bytes.empty())
-            continue;
-        for (PmOffset base = cacheLineBase(staged.off);
-             base < staged.off + staged.bytes.size();
-             base += kCacheLineSize) {
-            slots.push_back((base / kCacheLineSize) *
-                            0x9e3779b97f4a7c15ull % kLineLockSlots);
-        }
-    }
-    // Sorted + deduped: locks are taken in a global order, so two
-    // overlapping commits cannot deadlock.
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    return slots;
-}
-
-Rtm::ApplyResult
-Rtm::tryApply(const RtmRegion &region)
-{
-    std::vector<std::size_t> slots = lockSlots(region);
-    std::size_t held = 0;
-    for (; held < slots.size(); ++held) {
-        std::uint8_t expected = 0;
-        if (!lineLocks_[slots[held]].compare_exchange_strong(
-                expected, 1, std::memory_order_acquire,
-                std::memory_order_relaxed)) {
-            // Another thread is committing to this line right now:
-            // the hardware would have aborted us the moment its store
-            // invalidated our read/write set.
-            for (std::size_t i = 0; i < held; ++i)
-                lineLocks_[slots[i]].store(0, std::memory_order_release);
-            return ApplyResult::Contention;
-        }
+    auto &lock = lineLocks_[(line / kCacheLineSize) *
+                            0x9e3779b97f4a7c15ull % kLineLockSlots];
+    std::uint8_t expected = 0;
+    if (!lock.compare_exchange_strong(expected, 1,
+                                      std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+        // Another thread is committing to this line right now: the
+        // hardware would have aborted us the moment its store
+        // invalidated our read/write set.
+        return false;
     }
     // XEND: the staged stores become visible. They remain volatile (in
     // the simulated CPU cache) until the caller flushes them, and since
@@ -119,9 +91,8 @@ Rtm::tryApply(const RtmRegion &region)
     for (const auto &staged : region.writes_)
         device_.write(staged.off, staged.bytes.data(),
                       staged.bytes.size());
-    for (std::size_t slot : slots)
-        lineLocks_[slot].store(0, std::memory_order_release);
-    return ApplyResult::Committed;
+    lock.store(0, std::memory_order_release);
+    return true;
 }
 
 Rtm::Outcome
@@ -130,36 +101,14 @@ Rtm::attemptOnce(const std::function<void(RtmRegion &)> &body)
     stats_.begins.fetch_add(1, std::memory_order_relaxed);
     RtmRegion region;
     body(region);
-    checkWriteSet(region);
+    PmOffset line = writeLine(region);
 
-    if (config_.capacityLines > 0) {
-        std::unordered_set<PmOffset> lines;
-        for (const auto &staged : region.writes_) {
-            for (PmOffset base = cacheLineBase(staged.off);
-                 base < staged.off + staged.bytes.size();
-                 base += kCacheLineSize) {
-                lines.insert(base);
-            }
-        }
-        if (lines.size() > config_.capacityLines) {
-            stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-            stats_.abortsCapacity.fetch_add(
-                1, std::memory_order_relaxed);
-            return Outcome::FallbackCapacity;
-        }
-    }
-
-    if (region.explicitAbort_) {
-        stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-        stats_.abortsExplicit.fetch_add(1, std::memory_order_relaxed);
-        return Outcome::AbortExplicit;
-    }
     if (rollInjectedAbort()) {
         stats_.aborts.fetch_add(1, std::memory_order_relaxed);
         stats_.abortsInjected.fetch_add(1, std::memory_order_relaxed);
         return Outcome::AbortInjected;
     }
-    if (tryApply(region) == ApplyResult::Contention) {
+    if (!tryApply(region, line)) {
         stats_.aborts.fetch_add(1, std::memory_order_relaxed);
         stats_.abortsContention.fetch_add(
             1, std::memory_order_relaxed);
@@ -185,7 +134,7 @@ Rtm::execute(const std::function<void(RtmRegion &)> &body)
             // unobservable and exploring them would only blow up the
             // schedule space. Contention aborts are therefore not
             // exercised under the model checker (the TSan stress suite
-            // covers them); injected/explicit/capacity aborts are.
+            // covers them); injected aborts are.
             mc::HookDepthGuard hook_depth;
             out = attemptOnce(body);
         }
@@ -194,16 +143,11 @@ Rtm::execute(const std::function<void(RtmRegion &)> &body)
             if (h)
                 h->atPoint(mc::HookOp::RtmCommit, this, 1);
             return true;
-          case Outcome::FallbackCapacity:
-            // Deterministic: the write set won't shrink on retry.
-            stats_.fallbacks.fetch_add(1, std::memory_order_relaxed);
-            return false;
           case Outcome::AbortContention:
             // Brief pause so the winning committer can finish before we
             // re-execute the body against the updated line.
             std::this_thread::yield();
             [[fallthrough]];
-          case Outcome::AbortExplicit:
           case Outcome::AbortInjected:
             if (h)
                 h->atPoint(mc::HookOp::RtmAbort, this, 1);

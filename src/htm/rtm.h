@@ -21,12 +21,12 @@
  * abort* and re-executes, exactly like real RTM's cache-coherence
  * conflict detection (just with coarser, commit-time granularity).
  *
- * Aborts therefore come in four flavours, counted separately for the
- * ablation table: explicit (XABORT), injected (the probabilistic model
- * of interrupts/sharing-induced aborts), contention (another thread
- * held a write-set line), and capacity (write set exceeded the
- * configured line budget — real RTM aborts when the write set falls
- * out of L1).
+ * Aborts therefore come in two flavours, counted separately for the
+ * ablation table: injected (the probabilistic model of interrupts and
+ * sharing-induced aborts) and contention (another thread held the
+ * write-set line). FAST's header publish never issues XABORT and its
+ * one-line write set never exceeds RTM's capacity, so neither of those
+ * abort classes is modelled.
  */
 
 #ifndef FASP_HTM_RTM_H
@@ -60,19 +60,6 @@ struct RtmConfig
      *  models the alternative fallback-to-logging handler. */
     unsigned maxRetries = 1u << 20;
 
-    /** Panic if a region's write set spans more than one cache line
-     *  (the paper restricts the RTM working set to one line because PM
-     *  cannot persist two lines atomically). */
-    bool enforceSingleLine = true;
-
-    /** Maximum distinct cache lines a write set may touch before the
-     *  attempt takes a capacity abort (0 = unlimited). Capacity aborts
-     *  are deterministic — retrying cannot help — so execute() falls
-     *  back immediately rather than burning the retry budget, matching
-     *  the _XABORT_CAPACITY handling real fallback handlers use. Only
-     *  meaningful with enforceSingleLine off. */
-    std::size_t capacityLines = 0;
-
     /** Seed for the abort-injection RNG. */
     std::uint64_t seed = 7;
 };
@@ -91,13 +78,10 @@ struct RtmStats
                                              //!< gave up
 
     // Abort breakdown (sums to `aborts`).
-    std::atomic<std::uint64_t> abortsExplicit{0};   //!< XABORT
     std::atomic<std::uint64_t> abortsInjected{0};   //!< modelled
     std::atomic<std::uint64_t> abortsContention{0}; //!< write-set line
                                                     //!< held by another
                                                     //!< thread
-    std::atomic<std::uint64_t> abortsCapacity{0};   //!< write set over
-                                                    //!< capacityLines
 
     RtmStats() = default;
     RtmStats(const RtmStats &other) { copyFrom(other); }
@@ -117,14 +101,10 @@ struct RtmStats
         commits = other.commits.load(std::memory_order_relaxed);
         aborts = other.aborts.load(std::memory_order_relaxed);
         fallbacks = other.fallbacks.load(std::memory_order_relaxed);
-        abortsExplicit =
-            other.abortsExplicit.load(std::memory_order_relaxed);
         abortsInjected =
             other.abortsInjected.load(std::memory_order_relaxed);
         abortsContention =
             other.abortsContention.load(std::memory_order_relaxed);
-        abortsCapacity =
-            other.abortsCapacity.load(std::memory_order_relaxed);
     }
 };
 
@@ -138,9 +118,6 @@ class RtmRegion
     /** Stage a store of @p len bytes at device offset @p off. */
     void write(PmOffset off, const void *src, std::size_t len);
 
-    /** Explicitly abort this attempt (XABORT). */
-    void abort() { explicitAbort_ = true; }
-
   private:
     friend class Rtm;
 
@@ -151,7 +128,6 @@ class RtmRegion
     };
 
     std::vector<StagedWrite> writes_;
-    bool explicitAbort_ = false;
 };
 
 /**
@@ -174,9 +150,12 @@ class Rtm
      * The body may run several times (once per attempt) and must be
      * idempotent up to its staged writes.
      *
+     * The write set must lie in one cache line (the paper restricts
+     * the RTM working set to one line because PM cannot persist two
+     * lines atomically); a wider one panics.
+     *
      * @return true if an attempt committed; false if the retry budget
-     *         was exhausted or a capacity abort fired (caller falls
-     *         back to slot-header logging).
+     *         was exhausted (caller falls back to slot-header logging).
      */
     bool execute(const std::function<void(RtmRegion &)> &body);
 
@@ -190,25 +169,21 @@ class Rtm
     void setConfig(const RtmConfig &config);
 
   private:
-    /** Outcome of one commit attempt's lock acquisition. */
-    enum class ApplyResult : std::uint8_t { Committed, Contention };
-
     /** Outcome of one full attempt (body + checks + apply). */
     enum class Outcome : std::uint8_t {
         Committed,
-        FallbackCapacity, //!< deterministic capacity abort: give up now
-        AbortExplicit,
         AbortInjected,
         AbortContention,
     };
 
     Outcome attemptOnce(const std::function<void(RtmRegion &)> &body);
-    ApplyResult tryApply(const RtmRegion &region);
-    void checkWriteSet(const RtmRegion &region) const;
+    /** Apply the staged writes under the line lock of @p line;
+     *  false if another thread holds it (contention abort). */
+    bool tryApply(const RtmRegion &region, PmOffset line);
+    /** The one cache line a region's write set touches; panics if the
+     *  writes span more than one. */
+    static PmOffset writeLine(const RtmRegion &region);
     bool rollInjectedAbort();
-
-    /** Distinct sorted commit-lock slots of a region's write set. */
-    std::vector<std::size_t> lockSlots(const RtmRegion &region) const;
 
     pm::PmDevice &device_;
     RtmConfig config_;
@@ -218,10 +193,10 @@ class Rtm
                                  //!< attempt
     RtmStats stats_;
 
-    /** Commit-time line locks: hashed per cache line, CAS-acquired in
-     *  sorted order during apply. 2048 single-byte slots keep the
-     *  table in a few cache lines; hash collisions just coarsen
-     *  conflict detection (false aborts, never missed ones). */
+    /** Commit-time line locks: hashed per cache line, CAS-acquired
+     *  during apply. 2048 single-byte slots keep the table in a few
+     *  cache lines; hash collisions just coarsen conflict detection
+     *  (false aborts, never missed ones). */
     static constexpr std::size_t kLineLockSlots = 2048;
     std::vector<std::atomic<std::uint8_t>> lineLocks_;
 };

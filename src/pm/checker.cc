@@ -4,10 +4,6 @@
 
 namespace fasp::pm {
 
-PersistencyChecker::PersistencyChecker(const Config &config)
-    : config_(config)
-{}
-
 void
 PersistencyChecker::LineInfo::record(LineTraceEvent::Op op,
                                      std::uint64_t eventIndex,
@@ -153,8 +149,7 @@ PersistencyChecker::onFlush(PmOffset off, std::uint64_t eventIndex,
         // so the protocol mandates flushes that are only sometimes
         // redundant (DESIGN.md §14). V2 is a perf lint; surrendering
         // it on pcas-managed header lines is the price of helping.
-        if (config_.trackRedundantFlush &&
-            everTaggedLines_.find(base) == everTaggedLines_.end() &&
+        if (everTaggedLines_.find(base) == everTaggedLines_.end() &&
             !lineHasTaggedWord(base))
             reportLine(ViolationKind::RedundantFlush, base, li,
                        eventIndex, site);
@@ -342,6 +337,13 @@ PersistencyChecker::onTagClear(PmOffset wordOff)
     if (taggedWords_.erase(wordOff) > 0)
         taggedCount_.store(taggedWords_.size(),
                            std::memory_order_release);
+}
+
+void
+PersistencyChecker::onTagSeen(PmOffset wordOff)
+{
+    MutexLock lk(&mu_);
+    everTaggedLines_.insert(cacheLineBase(wordOff));
 }
 
 void

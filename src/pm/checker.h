@@ -73,17 +73,6 @@ class PersistencyChecker
         Fenced,  //!< writeback ordered: durable on any later crash
     };
 
-    struct Config
-    {
-        /** Report V2 (clflush of a line with nothing to write back).
-         *  On by default; a perf-tuning pass may turn it off to run
-         *  the durability checks alone. */
-        bool trackRedundantFlush = true;
-    };
-
-    PersistencyChecker() : PersistencyChecker(Config()) {}
-    explicit PersistencyChecker(const Config &config);
-
     // --- Hooks driven by PmDevice ---------------------------------------
 
     void onStore(PmOffset off, std::size_t len, bool scratch,
@@ -120,6 +109,12 @@ class PersistencyChecker
      *  Tolerates words the checker never saw tagged: recovery clears
      *  tags left behind by a crash that predates this checker. */
     void onTagClear(PmOffset wordOff);
+
+    /** A helper met a tagged value at @p wordOff and is about to flush
+     *  its line. The owner reports its tag (onTagSet) only after its
+     *  CAS has landed, so a helper can flush first; marking the line
+     *  here keeps every helping flush inside the V2 carve-out. */
+    void onTagSeen(PmOffset wordOff);
 
     /** Every plain PmDevice::read() reports here. V6 fires if the read
      *  overlaps a currently tagged word: the caller consumed a value
@@ -214,7 +209,6 @@ class PersistencyChecker
                     const LineInfo &info, std::uint64_t eventIndex,
                     const char *site) REQUIRES(mu_);
 
-    Config config_;
     /** The single checker mutex: serializes every hook and query so the
      *  analysis observes a total order of persistence events. */
     mutable Mutex mu_;

@@ -31,6 +31,8 @@ Pcas::rollInjectedFail()
 std::uint64_t
 Pcas::helpClear(PmOffset off, std::uint64_t tagged)
 {
+    if (PersistencyChecker *chk = device_.checker())
+        chk->onTagSeen(off);
     device_.clflush(off & ~PmOffset{kCacheLineSize - 1});
     device_.sfence();
     clearTag(off, tagged);

@@ -64,8 +64,6 @@ RollbackJournal::journalPage(PageId pid)
     runningCrc_ = crc32c(entry_head, 8, runningCrc_);
     runningCrc_ = crc32c(page.data(), page.size(), runningCrc_);
     count_++;
-    stats_.pagesJournaled++;
-    stats_.journalBytes += 8 + page.size();
     return Status::ok();
 }
 
@@ -102,7 +100,6 @@ RollbackJournal::invalidate()
     device_.txEnd(/*committed=*/true);
     count_ = 0;
     runningCrc_ = 0;
-    stats_.commits++;
 }
 
 Result<bool>
@@ -141,7 +138,6 @@ RollbackJournal::recover(RecoveryBreakdown *breakdown)
             bd.scanNs += ns_since(scan_started);
             auto repair_started = std::chrono::steady_clock::now();
             invalidate();
-            stats_.commits--; // invalidate() counts a commit; undo
             bd.tornRecords = 1;
             bd.repairNs += ns_since(repair_started);
             return false;
@@ -154,7 +150,6 @@ RollbackJournal::recover(RecoveryBreakdown *breakdown)
         bd.scanNs += ns_since(scan_started);
         auto repair_started = std::chrono::steady_clock::now();
         invalidate();
-        stats_.commits--;
         bd.tornRecords = 1;
         bd.repairNs += ns_since(repair_started);
         return false;
@@ -177,8 +172,6 @@ RollbackJournal::recover(RecoveryBreakdown *breakdown)
 
     auto discard_started = std::chrono::steady_clock::now();
     invalidate();
-    stats_.commits--;
-    stats_.rollbacks++;
     bd.discardNs += ns_since(discard_started);
     return true;
 }

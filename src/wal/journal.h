@@ -36,17 +36,6 @@ class PmDevice;
 
 namespace fasp::wal {
 
-/** Counters for the write-amplification table. */
-struct JournalStats
-{
-    std::uint64_t commits = 0;
-    std::uint64_t pagesJournaled = 0;
-    std::uint64_t journalBytes = 0;
-    std::uint64_t rollbacks = 0;
-
-    void reset() { *this = JournalStats{}; }
-};
-
 class RollbackJournal
 {
   public:
@@ -77,8 +66,6 @@ class RollbackJournal
      */
     Result<bool> recover(RecoveryBreakdown *breakdown = nullptr);
 
-    JournalStats &stats() { return stats_; }
-
   private:
     static constexpr std::uint32_t kMagic = 0x4a524e4cu; // "JRNL"
 
@@ -89,7 +76,6 @@ class RollbackJournal
     pager::Region region_;
     std::uint32_t count_ = 0;
     std::uint32_t runningCrc_ = 0;
-    JournalStats stats_;
 };
 
 } // namespace fasp::wal

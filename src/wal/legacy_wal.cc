@@ -102,8 +102,6 @@ LegacyWal::commitTx(TxId txid, std::span<const WalDirtyPage> pages)
         device_.flushRange(writeOff_, dataFrameBytes());
         appended.emplace_back(page.pid, writeOff_);
         writeOff_ += dataFrameBytes();
-        stats_.frames++;
-        stats_.frameBytes += dataFrameBytes();
     }
     device_.sfence();
 
@@ -122,12 +120,10 @@ LegacyWal::commitTx(TxId txid, std::span<const WalDirtyPage> pages)
     device_.flushRange(writeOff_, sizeof(commit));
     device_.sfence();
     writeOff_ += kFrameHeaderBytes;
-    stats_.frameBytes += kFrameHeaderBytes;
 
     device_.txEnd(/*committed=*/true);
     for (const auto &[pid, off] : appended)
         index_[pid] = off;
-    stats_.commits++;
     return Status::ok();
 }
 
@@ -170,7 +166,6 @@ LegacyWal::checkpoint()
     }
     device_.sfence();
     truncate();
-    stats_.checkpoints++;
     return Status::ok();
 }
 

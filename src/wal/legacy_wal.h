@@ -45,17 +45,6 @@ struct WalDirtyPage
     const std::uint8_t *data; //!< full page image
 };
 
-/** Counters. */
-struct LegacyWalStats
-{
-    std::uint64_t commits = 0;
-    std::uint64_t frames = 0;
-    std::uint64_t frameBytes = 0;
-    std::uint64_t checkpoints = 0;
-
-    void reset() { *this = LegacyWalStats{}; }
-};
-
 class LegacyWal
 {
   public:
@@ -80,8 +69,6 @@ class LegacyWal
     /** Apply the newest frame of every page to the database image,
      *  flush, and truncate the log. */
     Status checkpoint();
-
-    LegacyWalStats &stats() { return stats_; }
 
     /** Bytes of log space consumed since the last checkpoint. */
     std::uint64_t bytesUsed() const { return writeOff_ - logStart(); }
@@ -120,7 +107,6 @@ class LegacyWal
 
     /** pid -> device offset of its newest committed data frame. */
     std::unordered_map<PageId, PmOffset> index_;
-    LegacyWalStats stats_;
 };
 
 } // namespace fasp::wal

@@ -49,7 +49,6 @@ NvHeap::attach()
         return statusCorruption("NvHeap: bad magic");
     freeLists_.clear();
     liveBytes_ = 0;
-    stats_.scans++;
 
     PmOffset cursor = firstBlockOff();
     while (cursor + kBlockHeaderBytes <= region_.end()) {
@@ -78,8 +77,6 @@ NvHeap::pmalloc(std::uint32_t size)
 {
     pm::SiteScope site(device_, "NvHeap::pmalloc");
     std::uint32_t rounded = roundSize(size);
-    stats_.allocs++;
-    stats_.bytesAllocated += rounded;
 
     // Exact-size-class reuse first (WAL frames repeat sizes heavily).
     auto it = freeLists_.lower_bound(rounded);
@@ -117,7 +114,6 @@ NvHeap::pfree(PmOffset payload_off)
     std::uint32_t state = device_.readU32(block);
     std::uint32_t size = device_.readU32(block + 4);
     FASP_ASSERT(state == kStateAllocated);
-    stats_.frees++;
     writeBlockHeader(block, kStateFree, size, /*flush=*/true);
     freeLists_[size].push_back(block);
     liveBytes_ -= size;

@@ -36,17 +36,6 @@ class PmDevice;
 
 namespace fasp::wal {
 
-/** Allocation counters. */
-struct NvHeapStats
-{
-    std::uint64_t allocs = 0;
-    std::uint64_t frees = 0;
-    std::uint64_t bytesAllocated = 0; //!< cumulative payload bytes
-    std::uint64_t scans = 0;          //!< recovery scans performed
-
-    void reset() { *this = NvHeapStats{}; }
-};
-
 /**
  * Persistent heap over one device region.
  */
@@ -91,8 +80,6 @@ class NvHeap
     /** Fraction of the region consumed by the bump pointer. */
     double fillRatio() const;
 
-    NvHeapStats &stats() { return stats_; }
-
   private:
     static constexpr std::uint64_t kHeapMagic = 0x4e56484541503031ull;
 
@@ -114,8 +101,6 @@ class NvHeap
 
     /** size-class -> block offsets (volatile; rebuilt on attach). */
     std::map<std::uint32_t, std::vector<PmOffset>> freeLists_;
-
-    NvHeapStats stats_;
 };
 
 } // namespace fasp::wal

@@ -116,7 +116,6 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
                 cursor += rlen;
             }
             storeU32(p + cursor, crc32c(p, cursor));
-            stats_.diffBytes += data_bytes;
             plans.push_back(std::move(plan));
         }
     }
@@ -141,8 +140,6 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
             device_.write(plan.off, plan.bytes.data(),
                           plan.bytes.size());
             device_.flushRange(plan.off, plan.bytes.size());
-            stats_.frames++;
-            stats_.frameBytes += plan.bytes.size();
         }
         device_.sfence();
 
@@ -166,7 +163,6 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
         device_.write(commit_off, commit, sizeof(commit));
         device_.flushRange(commit_off, sizeof(commit));
         device_.sfence();
-        stats_.frameBytes += sizeof(commit);
     }
 
     // (4) Volatile WAL-index construction (Figure 8 "Misc").
@@ -180,7 +176,6 @@ NvwalLog::commitTx(TxId txid, std::span<const NvwalDirtyPage> pages)
     }
 
     device_.txEnd(/*committed=*/true);
-    stats_.commits++;
     return Status::ok();
 }
 
@@ -252,7 +247,6 @@ NvwalLog::checkpoint()
     // Database image is current: the whole WAL can go.
     heap_.reset();
     index_.clear();
-    stats_.checkpoints++;
     return Status::ok();
 }
 
@@ -352,12 +346,10 @@ NvwalLog::recover(RecoveryBreakdown *breakdown)
     for (const RawFrame &raw : frames) {
         if (raw.commit)
             continue;
-        if (committed.count(raw.txid)) {
+        if (committed.count(raw.txid))
             keep.push_back(raw);
-            stats_.recoveredTxns++; // counted per surviving frame
-        } else {
+        else
             drop.push_back(raw.off);
-        }
     }
 
     std::sort(keep.begin(), keep.end(),
@@ -370,20 +362,16 @@ NvwalLog::recover(RecoveryBreakdown *breakdown)
     bd.replayNs += ns_since(replay_started);
 
     auto discard_started = std::chrono::steady_clock::now();
-    for (PmOffset off : drop) {
+    for (PmOffset off : drop)
         heap_.pfree(off);
-        stats_.discardedFrames++;
-    }
     bd.recordsDiscarded = drop.size();
     bd.discardNs += ns_since(discard_started);
 
     // Torn-record repair: a frame whose CRC or framing failed was torn
     // mid-append; releasing its heap block removes it for good.
     auto repair_started = std::chrono::steady_clock::now();
-    for (PmOffset off : bad_frames) {
+    for (PmOffset off : bad_frames)
         heap_.pfree(off);
-        stats_.discardedFrames++;
-    }
     bd.tornRecords = bad_frames.size();
     bd.repairNs += ns_since(repair_started);
     return Status::ok();

@@ -56,20 +56,6 @@ struct NvwalDirtyPage
     const std::uint8_t *clean; //!< snapshot to diff against
 };
 
-/** Counters for Figures 8/9 and the write-amplification table. */
-struct NvwalStats
-{
-    std::uint64_t commits = 0;
-    std::uint64_t frames = 0;
-    std::uint64_t frameBytes = 0;   //!< frame bytes written to PM
-    std::uint64_t diffBytes = 0;    //!< payload diff bytes logged
-    std::uint64_t checkpoints = 0;
-    std::uint64_t recoveredTxns = 0;
-    std::uint64_t discardedFrames = 0;
-
-    void reset() { *this = NvwalStats{}; }
-};
-
 /**
  * NVWAL log manager. Owns the persistent heap inside the superblock's
  * log region and the volatile WAL index.
@@ -109,7 +95,6 @@ class NvwalLog
      */
     Status checkpoint();
 
-    NvwalStats &stats() { return stats_; }
     NvHeap &heap() { return heap_; }
 
     /** Number of pages with committed frames in the index. */
@@ -148,7 +133,6 @@ class NvwalLog
     std::uint32_t nextSeq_ = 1;
     TxId lastTxid_ = 0;
     std::unordered_map<PageId, std::vector<FrameLoc>> index_;
-    NvwalStats stats_;
 };
 
 } // namespace fasp::wal

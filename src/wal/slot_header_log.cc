@@ -83,7 +83,6 @@ SlotHeaderLog::appendRaw(EntryType type,
         runningCrc_ = crc32c(body.data(), body.size(), runningCrc_);
 
     writeOff_ += entry_len;
-    stats_.entryBytes += entry_len;
     return Status::ok();
 }
 
@@ -105,7 +104,6 @@ SlotHeaderLog::appendPageHeader(PageId pid,
     entry.pid = pid;
     entry.header.assign(header.begin(), header.end());
     pending_.push_back(std::move(entry));
-    stats_.headersLogged++;
     return Status::ok();
 }
 
@@ -156,8 +154,6 @@ SlotHeaderLog::commit(TxId txid)
         appendRaw(kCommit, std::span<const std::uint8_t>(body, 20)));
     device_.flushRange(commit_off, writeOff_ - commit_off);
     device_.sfence();
-
-    stats_.commits++;
     return Status::ok();
 }
 
@@ -171,7 +167,6 @@ SlotHeaderLog::applyEntry(const PendingEntry &entry,
         device_.write(page_off, entry.header.data(),
                       entry.header.size());
         device_.flushRange(page_off, entry.header.size());
-        stats_.headersCheckpointed++;
         break;
       }
       case kPageAlloc:
@@ -289,7 +284,6 @@ SlotHeaderLog::recover(RecoveryBreakdown *breakdown)
             FASP_RETURN_IF_ERROR(checkpointAndTruncate());
             bd.replayNs += ns_since(replay_started);
             result.replayed = true;
-            stats_.recoveredTxns++;
             // Eager checkpointing means one tx per log; stop here.
             return result;
         }
@@ -345,10 +339,8 @@ SlotHeaderLog::recover(RecoveryBreakdown *breakdown)
     // original pages were never altered, so recovery is trivial).
     bd.scanNs += ns_since(scan_started);
     auto discard_started = std::chrono::steady_clock::now();
-    if (!batch.empty()) {
-        stats_.discardedTxns++;
+    if (!batch.empty())
         bd.recordsDiscarded = batch.size();
-    }
     truncate();
     begin();
     bd.discardNs += ns_since(discard_started);

@@ -47,19 +47,6 @@ class PmDevice;
 
 namespace fasp::wal {
 
-/** Counters for the write-amplification table and Figure 8. */
-struct SlotHeaderLogStats
-{
-    std::uint64_t commits = 0;           //!< committed transactions
-    std::uint64_t entryBytes = 0;        //!< entry bytes appended
-    std::uint64_t headersLogged = 0;     //!< PageHeader entries
-    std::uint64_t headersCheckpointed = 0;
-    std::uint64_t recoveredTxns = 0;     //!< replayed at recovery
-    std::uint64_t discardedTxns = 0;     //!< uncommitted tails dropped
-
-    void reset() { *this = SlotHeaderLogStats{}; }
-};
-
 /** Outcome of a post-crash recovery scan. */
 struct SlotHeaderRecovery
 {
@@ -133,9 +120,6 @@ class SlotHeaderLog
     Result<SlotHeaderRecovery> recover(
         RecoveryBreakdown *breakdown = nullptr);
 
-    SlotHeaderLogStats &stats() { return stats_; }
-    const SlotHeaderLogStats &stats() const { return stats_; }
-
     /** Bytes of log space a header entry for @p header_len consumes. */
     static std::size_t pageHeaderEntryBytes(std::size_t header_len)
     {
@@ -189,7 +173,6 @@ class SlotHeaderLog
     std::uint64_t epoch_ = 0; //!< 0 = not yet attached
     std::uint32_t runningCrc_;
     std::vector<PendingEntry> pending_;
-    SlotHeaderLogStats stats_;
 };
 
 } // namespace fasp::wal

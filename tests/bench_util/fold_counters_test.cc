@@ -61,16 +61,12 @@ expectedCounters(const EngineCounters &before, const EngineCounters &after)
     std::map<std::string, std::uint64_t> all = {
         {"core.tx.commits", delta(e0.txCommitted, e.txCommitted)},
         {"core.tx.rollbacks", delta(e0.txRolledBack, e.txRolledBack)},
-        {"core.tx.latch_conflicts", l.conflicts - l0.conflicts},
         {"pager.latch.conflicts", l.conflicts - l0.conflicts},
         {"pager.latch.shared_acquires",
          l.sharedAcquires - l0.sharedAcquires},
         {"pager.latch.exclusive_acquires",
          l.exclusiveAcquires - l0.exclusiveAcquires},
         {"pager.latch.upgrades", l.upgrades - l0.upgrades},
-        {"core.tx.inplace_fallbacks",
-         delta(r0.fallbacks, r.fallbacks) +
-             delta(e0.pcasFallbacks, e.pcasFallbacks)},
         {"core.pcas.commits",
          after.commitViaPcas ? delta(e0.inPlaceCommits, e.inPlaceCommits)
                              : 0},
@@ -79,11 +75,9 @@ expectedCounters(const EngineCounters &before, const EngineCounters &after)
         {"core.pcas.exhausted", delta(p0.casExhausted, p.casExhausted)},
         {"htm.commits", delta(r0.commits, r.commits)},
         {"htm.fallbacks", delta(r0.fallbacks, r.fallbacks)},
-        {"htm.aborts.explicit", delta(r0.abortsExplicit, r.abortsExplicit)},
         {"htm.aborts.injected", delta(r0.abortsInjected, r.abortsInjected)},
         {"htm.aborts.contention",
          delta(r0.abortsContention, r.abortsContention)},
-        {"htm.aborts.capacity", delta(r0.abortsCapacity, r.abortsCapacity)},
     };
     std::map<std::string, std::uint64_t> nonzero;
     for (const auto &[name, value] : all)
@@ -161,7 +155,7 @@ TEST_F(FoldCountersTest, RtmPinnedAndForcedToFallBack)
               delta(before.rtm.fallbacks, after.rtm.fallbacks));
     EXPECT_EQ(folded["htm.aborts.injected"],
               3 * folded["htm.fallbacks"]); // 1 try + 2 retries each
-    EXPECT_EQ(folded["core.tx.inplace_fallbacks"], folded["htm.fallbacks"]);
+    EXPECT_EQ(folded.count("core.pcas.fallbacks"), 0u);
     EXPECT_GT(folded["core.tx.rollbacks"], 0u);
     EXPECT_GT(folded["pager.latch.conflicts"], 0u);
     EXPECT_EQ(folded.count("htm.commits"), 0u);

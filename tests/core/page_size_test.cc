@@ -21,11 +21,16 @@ using btree::BTree;
 using pm::PmConfig;
 using pm::PmDevice;
 
+/** gtest prints a parameter's raw bytes into each test's name, so the
+ *  padding after `kind` is a zeroed member: compiler padding would
+ *  print whatever the stack held and rename the tests run to run. */
 struct SizeCase
 {
     EngineKind kind;
+    std::uint8_t pad[3] = {};
     std::uint32_t pageSize;
 };
+static_assert(sizeof(SizeCase) == 8, "SizeCase must have no padding");
 
 class PageSizeTest : public ::testing::TestWithParam<SizeCase>
 {};
@@ -86,13 +91,14 @@ TEST_P(PageSizeTest, LoadAndReopen)
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, PageSizeTest,
-    ::testing::Values(SizeCase{EngineKind::Fast, 1024},
-                      SizeCase{EngineKind::Fast, 8192},
-                      SizeCase{EngineKind::Fash, 1024},
-                      SizeCase{EngineKind::Fash, 8192},
-                      SizeCase{EngineKind::Nvwal, 8192},
-                      SizeCase{EngineKind::LegacyWal, 8192},
-                      SizeCase{EngineKind::Journal, 1024}),
+    ::testing::Values(
+        SizeCase{.kind = EngineKind::Fast, .pageSize = 1024},
+        SizeCase{.kind = EngineKind::Fast, .pageSize = 8192},
+        SizeCase{.kind = EngineKind::Fash, .pageSize = 1024},
+        SizeCase{.kind = EngineKind::Fash, .pageSize = 8192},
+        SizeCase{.kind = EngineKind::Nvwal, .pageSize = 8192},
+        SizeCase{.kind = EngineKind::LegacyWal, .pageSize = 8192},
+        SizeCase{.kind = EngineKind::Journal, .pageSize = 1024}),
     [](const ::testing::TestParamInfo<SizeCase> &info) {
         return std::string(engineKindName(info.param.kind)) + "_" +
                std::to_string(info.param.pageSize);

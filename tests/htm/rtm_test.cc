@@ -38,23 +38,6 @@ TEST(RtmTest, CommitAppliesStagedWrites)
     EXPECT_EQ(rtm.stats().commits, 1u);
 }
 
-TEST(RtmTest, ExplicitAbortRetriesThenCommits)
-{
-    auto dev = makeDevice(PmMode::Direct);
-    Rtm rtm(dev, RtmConfig{});
-    int attempts = 0;
-    std::uint64_t value = 5;
-    bool committed = rtm.execute([&](RtmRegion &region) {
-        region.write(0, &value, 8);
-        if (++attempts < 3)
-            region.abort(); // XABORT twice
-    });
-    EXPECT_TRUE(committed);
-    EXPECT_EQ(attempts, 3);
-    EXPECT_EQ(rtm.stats().aborts, 2u);
-    EXPECT_EQ(dev.readU64(0), 5u);
-}
-
 TEST(RtmTest, NothingAppliedBeforeCommit)
 {
     auto dev = makeDevice(PmMode::Direct);
@@ -73,14 +56,16 @@ TEST(RtmTest, FallbackAfterRetryBudget)
 {
     auto dev = makeDevice(PmMode::Direct);
     RtmConfig cfg;
+    cfg.abortProbability = 1.0; // every attempt aborts
     cfg.maxRetries = 4;
     Rtm rtm(dev, cfg);
     std::uint64_t value = 1;
     bool committed = rtm.execute([&](RtmRegion &region) {
         region.write(0, &value, 8);
-        region.abort(); // always aborts
     });
     EXPECT_FALSE(committed);
+    EXPECT_EQ(rtm.stats().begins, 5u);
+    EXPECT_EQ(rtm.stats().abortsInjected, 5u);
     EXPECT_EQ(rtm.stats().fallbacks, 1u);
     EXPECT_EQ(dev.readU64(0), 0u) << "fallback must leave PM untouched";
 }
@@ -186,52 +171,6 @@ TEST(RtmSingleLineTest, TwoLinesPanics)
             region.write(64, &value, 8);
         }),
         "two cache lines");
-}
-
-TEST(RtmSingleLineTest, EnforcementCanBeDisabled)
-{
-    auto dev = makeDevice(PmMode::Direct);
-    RtmConfig cfg;
-    cfg.enforceSingleLine = false;
-    Rtm rtm(dev, cfg);
-    std::uint64_t value = 6;
-    bool committed = rtm.execute([&](RtmRegion &region) {
-        region.write(0, &value, 8);
-        region.write(64, &value, 8);
-    });
-    EXPECT_TRUE(committed);
-}
-
-TEST(RtmCapacityTest, OverBudgetWriteSetFallsBackImmediately)
-{
-    auto dev = makeDevice(PmMode::Direct);
-    RtmConfig cfg;
-    cfg.enforceSingleLine = false;
-    cfg.capacityLines = 2;
-    Rtm rtm(dev, cfg);
-    std::uint64_t value = 9;
-
-    // Three distinct lines > budget of two: deterministic capacity
-    // abort, no retries burned, and nothing reaches the device.
-    bool committed = rtm.execute([&](RtmRegion &region) {
-        region.write(0, &value, 8);
-        region.write(64, &value, 8);
-        region.write(128, &value, 8);
-    });
-    EXPECT_FALSE(committed);
-    EXPECT_EQ(rtm.stats().begins, 1u);
-    EXPECT_EQ(rtm.stats().abortsCapacity, 1u);
-    EXPECT_EQ(rtm.stats().fallbacks, 1u);
-    EXPECT_EQ(dev.readU64(0), 0u);
-    EXPECT_EQ(dev.readU64(128), 0u);
-
-    // At the budget is fine.
-    committed = rtm.execute([&](RtmRegion &region) {
-        region.write(0, &value, 8);
-        region.write(64, &value, 8);
-    });
-    EXPECT_TRUE(committed);
-    EXPECT_EQ(dev.readU64(64), 9u);
 }
 
 } // namespace

@@ -190,9 +190,7 @@ TEST(PcasStressTest, ConcurrentCasCountsEveryIncrement)
     constexpr std::uint64_t kStep = 2;
 
     PmDevice device(makeConfig());
-    PersistencyChecker::Config ccfg;
-    ccfg.trackRedundantFlush = false; // helping races flush flushed lines
-    PersistencyChecker checker(ccfg);
+    PersistencyChecker checker;
     device.setChecker(&checker);
     Pcas pcas(device, PcasConfig{});
     initWord(device, kWordA, 0);

@@ -103,12 +103,13 @@ TEST_F(BaselineWalTest, SealedJournalRollsBackOnRecovery)
     device_->reviveAfterCrash();
 
     RollbackJournal fresh(*device_, sb_);
-    auto rolled = fresh.recover();
+    RecoveryBreakdown bd;
+    auto rolled = fresh.recover(&bd);
     ASSERT_TRUE(rolled.isOk());
     EXPECT_TRUE(*rolled);
     EXPECT_EQ(durableByte(pid, 100), 0x10)
         << "the original page content must be restored";
-    EXPECT_EQ(fresh.stats().rollbacks, 1u);
+    EXPECT_EQ(bd.recordsReplayed, 1u);
 }
 
 TEST_F(BaselineWalTest, UnsealedJournalIgnored)
@@ -164,9 +165,11 @@ TEST_F(BaselineWalTest, JournalWriteAmplificationCounted)
     PageId pid = sb_.firstDataPid();
     writeDbPage(pid, 0x10);
     journal.begin();
+    pm::PmStats before = device_->stats();
     ASSERT_TRUE(journal.journalPage(pid).isOk());
     // A full page plus the entry header lands in the journal.
-    EXPECT_GE(journal.stats().journalBytes, sb_.pageSize);
+    EXPECT_EQ(device_->stats().since(before).storeBytes,
+              8u + sb_.pageSize);
     // The journal entry is abandoned before seal() would fence it:
     // declare it harmless for the shutdown sweep.
     guard_->forgiveUnflushed();
@@ -260,10 +263,11 @@ TEST_F(BaselineWalTest, WalFullPageAmplification)
     std::vector<std::uint8_t> page(sb_.pageSize, 0x44);
     // Change ONE byte semantically; legacy WAL still logs a whole page.
     WalDirtyPage dirty{pid, page.data()};
+    pm::PmStats before = device_->stats();
     ASSERT_TRUE(
         wal.commitTx(1, std::span<const WalDirtyPage>(&dirty, 1))
             .isOk());
-    EXPECT_GE(wal.stats().frameBytes, sb_.pageSize)
+    EXPECT_GE(device_->stats().since(before).storeBytes, sb_.pageSize)
         << "page-granularity logging amplifies writes";
 }
 

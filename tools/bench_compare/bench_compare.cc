@@ -50,6 +50,7 @@
 
 namespace {
 
+using fasp::minijson::jsonEscape;
 using fasp::minijson::JsonParser;
 using fasp::minijson::JsonValue;
 
@@ -209,37 +210,28 @@ writeVerdict(const Options &opt, const std::vector<Regression> &regs,
                      opt.jsonPath.c_str());
         return;
     }
-    auto esc = [](const std::string &s) {
-        std::string r;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                r += '\\';
-            r += c;
-        }
-        return r;
-    };
     const char *verdict = !shapeError.empty() ? "shape"
                           : regs.empty()      ? "pass"
                                               : "fail";
     out << "{\"verdict\": \"" << verdict << "\", \"baseline\": \""
-        << esc(opt.baselinePath) << "\", \"candidate\": \""
-        << esc(opt.candidatePath) << "\", \"gated_cells\": "
+        << jsonEscape(opt.baselinePath) << "\", \"candidate\": \""
+        << jsonEscape(opt.candidatePath) << "\", \"gated_cells\": "
         << gatedCells << ", \"tolerance\": " << opt.tolerance;
     if (!shapeError.empty())
-        out << ", \"error\": \"" << esc(shapeError) << "\"";
+        out << ", \"error\": \"" << jsonEscape(shapeError) << "\"";
     out << ", \"regressions\": [";
     for (std::size_t i = 0; i < regs.size(); ++i) {
         const Regression &r = regs[i];
-        char buf[512];
-        std::snprintf(buf, sizeof buf,
-                      "%s{\"table\": \"%s\", \"row\": %zu, "
-                      "\"column\": \"%s\", \"label\": \"%s\", "
+        char nums[160];
+        std::snprintf(nums, sizeof nums,
                       "\"baseline\": %g, \"candidate\": %g, "
                       "\"change\": %.4f, \"tolerance\": %.4f}",
-                      i == 0 ? "" : ", ", esc(r.table).c_str(), r.row,
-                      esc(r.column).c_str(), esc(r.label).c_str(),
                       r.base, r.cand, r.change, r.tolerance);
-        out << buf;
+        out << (i == 0 ? "" : ", ") << "{\"table\": \""
+            << jsonEscape(r.table) << "\", \"row\": " << r.row
+            << ", \"column\": \"" << jsonEscape(r.column)
+            << "\", \"label\": \"" << jsonEscape(r.label) << "\", "
+            << nums;
     }
     out << "]}\n";
 }

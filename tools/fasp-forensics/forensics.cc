@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "../common/mini_json.h"
 #include "common/byte_io.h"
 #include "common/crc32.h"
 
@@ -292,11 +293,7 @@ void
 appendJsonString(std::string &out, const std::string &s)
 {
     out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
+    out += minijson::jsonEscape(s);
     out += '"';
 }
 

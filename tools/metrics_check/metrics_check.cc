@@ -18,7 +18,9 @@
  * the paper's Figure-8 commit breakdown for FAST / FASH / NVWAL:
  * log-flush activity for all three, checkpointing for the logging
  * engines, and the atomic 64-B header write for FAST at exactly one
- * flush and one fence per in-place commit (paper §3.2).
+ * flush and one fence per in-place commit (paper §3.2). It also
+ * asserts the figure's headline from the --json report: at 1200 ns
+ * write latency NVWAL's commit(us) is at least 5x FAST's.
  *
  * With --forensics, instead validates one or more fasp-forensics
  * --json reports (the CI crash-image artifacts) against the forensics
@@ -28,6 +30,7 @@
  *        metrics_check --forensics <report.json>...
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -419,6 +422,62 @@ checkFig8(const JsonValue &doc)
     }
 }
 
+/** Smallest NVWAL/FAST commit-time ratio at 1200 ns write latency
+ *  that still reproduces Fig. 8 (paper: up to 6x). */
+constexpr double kFig8MinCommitRatio = 5.0;
+
+/**
+ * Fig. 8's headline from the --json report's breakdown table (the
+ * first one): at write latency 1200 ns, NVWAL's commit(us) is at least
+ * kFig8MinCommitRatio times FAST's.
+ */
+void
+checkFig8Headline(const JsonValue &report)
+{
+    const JsonValue *tables = report.find("tables");
+    if (!check(tables && tables->kind == JsonValue::Array &&
+                   !tables->items.empty(),
+               "fig8: report has no tables"))
+        return;
+    const JsonValue &table = tables->items.front();
+    const JsonValue *columns = table.find("columns");
+    const JsonValue *rows = table.find("rows");
+    if (!check(columns && rows, "fig8: breakdown table malformed"))
+        return;
+    auto column = [&](const char *name) {
+        for (std::size_t i = 0; i < columns->items.size(); ++i)
+            if (columns->items[i].str == name)
+                return i;
+        return columns->items.size();
+    };
+    std::size_t wlat = column("wlat(ns)"), engine = column("engine"),
+                commit = column("commit(us)");
+    if (!check(std::max({wlat, engine, commit}) < columns->items.size(),
+               "fig8: breakdown table lacks wlat(ns), engine or "
+               "commit(us)"))
+        return;
+    double nvwal_us = 0, fast_us = 0;
+    for (const JsonValue &row : rows->items) {
+        if (row.items.size() != columns->items.size() ||
+            row.items[wlat].number != 1200)
+            continue;
+        if (row.items[engine].str == "NVWAL")
+            nvwal_us = row.items[commit].number;
+        else if (row.items[engine].str == "FAST")
+            fast_us = row.items[commit].number;
+    }
+    if (!check(nvwal_us > 0 && fast_us > 0,
+               "fig8: no NVWAL and FAST commit(us) rows at 1200 ns"))
+        return;
+    char ratio[96];
+    std::snprintf(ratio, sizeof ratio,
+                  "NVWAL/FAST commit(us) at 1200 ns: %.2fx (bar %.1fx)",
+                  nvwal_us / fast_us, kFig8MinCommitRatio);
+    std::fprintf(stderr, "metrics_check: fig8 %s\n", ratio);
+    check(nvwal_us >= kFig8MinCommitRatio * fast_us,
+          std::string("fig8: Fig. 8 headline lost: ") + ratio);
+}
+
 // --- fasp-forensics report schema -----------------------------------------
 
 /**
@@ -554,8 +613,11 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (auto report_doc = loadJson(json_path))
+    if (auto report_doc = loadJson(json_path)) {
         checkBenchReport(*report_doc);
+        if (fig8)
+            checkFig8Headline(*report_doc);
+    }
     if (auto metrics_doc = loadJson(metrics_path)) {
         checkMetricsSchema(*metrics_doc);
         if (fig8)
