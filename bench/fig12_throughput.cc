@@ -12,16 +12,11 @@
  * With --clients=N the bench instead runs the insert workload with
  * 1..N concurrent client threads per engine (powers of two, e.g.
  * --clients=64 sweeps 1/2/4/8/16/32/64), reporting modelled
- * throughput, latch conflict retries, RTM contention aborts, and PCAS
- * logging fallbacks, then repeats each point with the persistency
- * checker attached and reports its violation count (expected 0; any
- * violation makes the bench exit 1).
- * Besides the paper engines a FAST-RTM series runs FAST with the
- * pre-PCAS RTM commit, whose shared line-lock table is the contention
- * bottleneck the PCAS path removes. Expected shape: FAST/FASH
- * throughput scales with clients while the buffered baselines stay
- * flat on their single-writer mutex, and FAST (PCAS) keeps scaling
- * past the client count where FAST-RTM plateaus.
+ * throughput, latch conflict retries and PCAS logging fallbacks, then
+ * repeats each point with the persistency checker attached and reports
+ * its violation count (expected 0; any violation makes the bench
+ * exit 1). Expected shape: FAST/FASH throughput scales with clients
+ * while the buffered baselines stay flat on their single-writer mutex.
  */
 
 #include <cstdio>
@@ -212,33 +207,19 @@ runMultiClient(const BenchArgs &args)
     // it reads 0 unless --metrics/--trace enabled the obs layer. The
     // column is intentionally absent from bench_compare's gate map:
     // wait times are host-share sensitive (see bench/snapshot.sh).
+    // FAST runs last, so the metrics export's latch_contention section
+    // describes FAST at the full client count.
     Table perf({"engine", "clients", "txns", "ktxn/s", "speedup",
-                "conflict-retries", "rtm-contention",
-                "pcas-fallbacks", "latch-p95(ns)"});
+                "conflict-retries", "pcas-fallbacks", "latch-p95(ns)"});
     Table valid({"engine", "clients", "txns", "checker-violations"});
     std::uint64_t violations = 0;
 
-    struct Series
-    {
-        std::string label;
-        core::EngineKind kind;
-        core::InPlaceCommitVia via;
-    };
-    std::vector<Series> series;
-    for (core::EngineKind kind : paperEngines())
-        series.push_back({core::engineKindName(kind), kind,
-                          core::InPlaceCommitVia::Pcas});
-    // The latched baseline: FAST publishing headers through the
-    // emulated RTM, whose shared line-lock table serializes commits.
-    series.push_back({"FAST-RTM", core::EngineKind::Fast,
-                      core::InPlaceCommitVia::Rtm});
-
-    for (const Series &s : series) {
+    for (core::EngineKind kind : paperEngines()) {
+        const char *label = core::engineKindName(kind);
         double base_tput = 0;
         for (std::size_t clients : counts) {
             BenchConfig config;
-            config.kind = s.kind;
-            config.commitVia = s.via;
+            config.kind = kind;
             config.clients = clients;
             config.opsPerClient =
                 std::max<std::size_t>(args.numTxns / clients, 50);
@@ -253,13 +234,12 @@ runMultiClient(const BenchArgs &args)
             if (clients == 1)
                 base_tput = tput;
             perf.addRow(
-                {s.label,
+                {label,
                  Table::fmt(static_cast<std::uint64_t>(clients)),
                  Table::fmt(result.ops), Table::fmt(tput / 1000.0, 1),
                  Table::fmt(tput / (base_tput > 0 ? base_tput : 1), 2) +
                      "x",
                  Table::fmt(result.retries),
-                 Table::fmt(result.counters.rtm.abortsContention),
                  Table::fmt(result.counters.engine.pcasFallbacks),
                  Table::fmt(latch_p95)});
 
@@ -268,26 +248,11 @@ runMultiClient(const BenchArgs &args)
             BenchResult checked = runBench(config);
             violations += checked.checkerViolations;
             valid.addRow(
-                {s.label,
+                {label,
                  Table::fmt(static_cast<std::uint64_t>(clients)),
                  Table::fmt(checked.ops),
                  Table::fmt(checked.checkerViolations)});
         }
-    }
-
-    // The per-point resets above leave the contention profile holding
-    // whatever point ran last (the RTM baseline, which barely touches
-    // the latch histograms). Re-run FAST at the full client count so
-    // the metrics export's latch_contention section describes the
-    // headline configuration instead.
-    if (obs::enabled()) {
-        obs::SpanProfiler::global().resetLatchContention();
-        BenchConfig config;
-        config.kind = core::EngineKind::Fast;
-        config.clients = args.clients;
-        config.opsPerClient =
-            std::max<std::size_t>(args.numTxns / args.clients, 50);
-        runBench(config);
     }
 
     std::string perf_title =

@@ -14,8 +14,8 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 "$root/$build/bench/fig08_commit_breakdown" --smoke \
     --json="$root/BENCH_fig08_commit_breakdown.json"
 # --clients=16 folds the multi-client scaling table (1..16 clients,
-# PCAS vs the latched RTM baseline) into the snapshot so the perf gate
-# watches the scaling numbers too, not just single-client throughput.
+# NVWAL, FASH and FAST) into the snapshot so the perf gate watches the
+# scaling numbers too, not just single-client throughput.
 # The table also carries the span profiler's latch-p95(ns) column; it
 # rides through the snapshot but is NOT gated by bench_compare (wait
 # times are host-share sensitive — see the gate map in

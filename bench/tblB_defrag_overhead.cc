@@ -7,6 +7,7 @@
  * with an update/delete-heavy mix over variable-size records).
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "btree/btree.h"
@@ -114,10 +115,12 @@ main(int argc, char **argv)
                           "%"});
     }
 
-    // (2) An adversarial fragmentation-heavy mix.
+    // (2) An adversarial fragmentation-heavy mix, of at least one op
+    // so its per-op columns are always defined.
     for (core::EngineKind kind :
          {core::EngineKind::Fast, core::EngineKind::Fash}) {
-        runFragmentationMix(kind, args.numTxns / 2, table);
+        runFragmentationMix(
+            kind, std::max<std::size_t>(args.numTxns / 2, 1), table);
     }
 
     std::string title =

@@ -27,7 +27,7 @@ main()
     pm::PmDevice device(pm_cfg);
 
     // 2. A database using FAST (failure-atomic slotted paging with
-    //    HTM in-place commit). Swap the kind for EngineKind::Nvwal or
+    //    in-place commit). Swap the kind for EngineKind::Nvwal or
     //    EngineKind::Journal to compare engines on the same API.
     core::EngineConfig engine_cfg;
     engine_cfg.kind = core::EngineKind::Fast;
@@ -63,7 +63,8 @@ main()
 
     // 4. The paper's point, visible in the stats: the three INSERTs
     //    and the UPDATE were single-page transactions -> in-place
-    //    commits (one RTM header publish + one clflush each), no log.
+    //    commits (one 8-byte PCAS header publish + one clflush
+    //    each), no log.
     const core::EngineStats &stats = database.engine().stats();
     std::printf("\ncommitted txns: %llu  in-place commits: %llu  "
                 "logged commits: %llu\n",

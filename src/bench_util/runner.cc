@@ -114,8 +114,6 @@ EngineCounters::of(Engine &engine)
     if (auto *fasp = dynamic_cast<core::FaspEngine *>(&engine)) {
         c.latches = fasp->latches().statsSnapshot();
         c.pcas = fasp->pcas().stats();
-        c.rtm = fasp->rtm().stats();
-        c.commitViaPcas = fasp->commitViaPcas();
     }
     return c;
 }
@@ -138,7 +136,6 @@ foldCounters(Engine &engine, const EngineCounters &before)
     };
     const core::EngineStats &e = now.engine, &e0 = before.engine;
     const pm::PcasStats &p = now.pcas, &p0 = before.pcas;
-    const htm::RtmStats &r = now.rtm, &r0 = before.rtm;
 
     add("core.tx.commits", d(e.txCommitted, e0.txCommitted));
     add("core.tx.rollbacks", d(e.txRolledBack, e0.txRolledBack));
@@ -151,17 +148,11 @@ foldCounters(Engine &engine, const EngineCounters &before)
     add("pager.latch.upgrades",
         now.latches.upgrades - before.latches.upgrades);
 
-    if (now.commitViaPcas)
-        add("core.pcas.commits", d(e.inPlaceCommits, e0.inPlaceCommits));
+    // Only FAST commits in place, and always through PCAS.
+    add("core.pcas.commits", d(e.inPlaceCommits, e0.inPlaceCommits));
     add("core.pcas.fallbacks", d(e.pcasFallbacks, e0.pcasFallbacks));
     add("core.pcas.conflicts", d(p.casConflicts, p0.casConflicts));
     add("core.pcas.exhausted", d(p.casExhausted, p0.casExhausted));
-
-    add("htm.commits", d(r.commits, r0.commits));
-    add("htm.fallbacks", d(r.fallbacks, r0.fallbacks));
-    add("htm.aborts.injected", d(r.abortsInjected, r0.abortsInjected));
-    add("htm.aborts.contention",
-        d(r.abortsContention, r0.abortsContention));
 }
 
 namespace {
@@ -581,8 +572,6 @@ BenchPoint::BenchPoint(const BenchConfig &config, std::size_t deviceSize,
 {
     EngineConfig engine_cfg;
     engine_cfg.kind = config.kind;
-    engine_cfg.rtm = config.rtm;
-    engine_cfg.inPlaceCommitVia = config.commitVia;
     engine_cfg.pcas = config.pcas;
     engine_cfg.format.logLen = 16u << 20;
     if (sql) {
@@ -610,10 +599,8 @@ BenchPoint::startMeasuring()
     device_.invalidateTagCache();
     device_.stats().reset();
     engine_->stats().reset();
-    if (auto *fasp = dynamic_cast<core::FaspEngine *>(engine_)) {
+    if (auto *fasp = dynamic_cast<core::FaspEngine *>(engine_))
         fasp->pcas().stats().reset();
-        fasp->rtm().stats().reset();
-    }
     counters0_ = EngineCounters::of(*engine_);
     window_.start();
 }

@@ -51,10 +51,6 @@ namespace fasp::benchutil {
 struct BenchConfig
 {
     core::EngineKind kind = core::EngineKind::Fast;
-    /** FAST in-place commit mechanism (PCAS default vs RTM). */
-    core::InPlaceCommitVia commitVia = core::InPlaceCommitVia::Pcas;
-    /** FAST abort injection; starts from the engines' default. */
-    htm::RtmConfig rtm = core::EngineConfig{}.rtm;
     pm::PcasConfig pcas;               //!< PCAS failure injection
     bool useClwb = false;              //!< CLWB vs CLFLUSH ablation
     pm::LatencyModel latency = pm::LatencyModel::of(300, 300);
@@ -77,17 +73,15 @@ struct BenchConfig
 
 /**
  * Snapshot of the stats structs an engine counts its events in: the
- * single count behind every exported core.*, pager.latch.* and htm.*
- * counter (DESIGN.md §11). The buffered engines have only EngineStats;
- * FAST/FASH add their latch table, PCAS and RTM stats.
+ * single count behind every exported core.* and pager.latch.* counter
+ * (DESIGN.md §11). The buffered engines have only EngineStats;
+ * FAST/FASH add their latch table and PCAS stats.
  */
 struct EngineCounters
 {
     core::EngineStats engine;
     LatchStats latches;
     pm::PcasStats pcas;
-    htm::RtmStats rtm;
-    bool commitViaPcas = false;
 
     static EngineCounters of(core::Engine &engine);
 };
@@ -108,9 +102,9 @@ struct BenchResult
     std::uint64_t checkerViolations = 0;
     pm::PhaseTracker window;          //!< ledger window over the ops
     pm::PmStats pmStats;
-    /** The engine's stats at the end of the phase. Its EngineStats,
-     *  PCAS and RTM stats count from the phase's start; latch stats
-     *  are cumulative. */
+    /** The engine's stats at the end of the phase. Its EngineStats
+     *  and PCAS stats count from the phase's start; latch stats are
+     *  cumulative. */
     EngineCounters counters;
 
     /** ops / modeledSeconds. */

@@ -1,7 +1,9 @@
 #include "bench_util/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <regex>
 
 #include "common/logging.h"
 
@@ -79,19 +81,24 @@ appendJsonString(std::string &out, const std::string &s)
     out += '"';
 }
 
-/** Emit a cell: as a bare number if it parses fully as one. */
+/** True if @p s is a finite number in JSON number syntax. */
+bool
+isJsonNumber(const std::string &s)
+{
+    static const std::regex number(
+        R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
+    return std::regex_match(s, number) &&
+           std::isfinite(std::strtod(s.c_str(), nullptr));
+}
+
+/** Emit a cell: bare if it is a JSON number, else as a string. */
 void
 appendJsonCell(std::string &out, const std::string &cell)
 {
-    if (!cell.empty()) {
-        char *end = nullptr;
-        std::strtod(cell.c_str(), &end);
-        if (end && *end == '\0' && end != cell.c_str()) {
-            out += cell;
-            return;
-        }
-    }
-    appendJsonString(out, cell);
+    if (isJsonNumber(cell))
+        out += cell;
+    else
+        appendJsonString(out, cell);
 }
 
 } // namespace

@@ -59,8 +59,9 @@ class Table
  *
  * to a file. Every add/write is a no-op when constructed with an empty
  * path, so benches call it unconditionally and `--json=PATH` switches
- * the output on. Cells that parse fully as numbers are emitted as JSON
- * numbers, everything else as strings.
+ * the output on. Cells that are finite numbers in JSON number syntax
+ * are emitted as JSON numbers, everything else (nan, inf, 0x10, 1.) as
+ * strings, so the file is always valid JSON.
  */
 class JsonReport
 {

@@ -698,16 +698,6 @@ BTree::update(TxPageIO &io, std::uint64_t key,
 }
 
 Status
-BTree::upsert(TxPageIO &io, std::uint64_t key,
-              std::span<const std::uint8_t> value)
-{
-    Status status = update(io, key, value);
-    if (status.code() == StatusCode::NotFound)
-        return insert(io, key, value);
-    return status;
-}
-
-Status
 BTree::get(TxPageIO &io, std::uint64_t key,
            std::vector<std::uint8_t> &value)
 {

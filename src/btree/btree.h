@@ -86,10 +86,6 @@ class BTree
     Status update(TxPageIO &io, std::uint64_t key,
                   std::span<const std::uint8_t> value);
 
-    /** Insert or replace. */
-    Status upsert(TxPageIO &io, std::uint64_t key,
-                  std::span<const std::uint8_t> value);
-
     /** Look up @p key; fills @p value. NotFound if absent. */
     Status get(TxPageIO &io, std::uint64_t key,
                std::vector<std::uint8_t> &value);

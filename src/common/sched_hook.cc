@@ -21,10 +21,6 @@ hookOpName(HookOp op)
       case HookOp::LatchUpgrade:          return "latch-upgrade";
       case HookOp::LatchReleaseShared:    return "latch-release-s";
       case HookOp::LatchReleaseExclusive: return "latch-release-x";
-      case HookOp::LatchDowngrade:        return "latch-downgrade";
-      case HookOp::RtmBegin:              return "rtm-begin";
-      case HookOp::RtmCommit:             return "rtm-commit";
-      case HookOp::RtmAbort:              return "rtm-abort";
       case HookOp::PmStore:               return "pm-store";
       case HookOp::PmFlush:               return "pm-flush";
       case HookOp::PmFence:               return "pm-fence";

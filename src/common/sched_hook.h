@@ -3,14 +3,13 @@
  * The fasp-mc scheduler hook: the seam between the annotated
  * synchronization/persistence wrappers and the model checker.
  *
- * PRs 2-3 funneled every scheduling-relevant event through a closed
- * set of wrappers: fasp::Mutex (thread_annotations.h), PageLatch
- * (pager/latch_table.h), the emulated RTM (htm/rtm.h) and PmDevice
- * (pm/device.h). This header gives those wrappers one optional
- * indirection point — a process-global SchedulerHook — that the
- * cooperative model-check scheduler (src/mc) installs to serialize
- * participating threads at every such event and enumerate their
- * interleavings.
+ * Every scheduling-relevant event goes through a closed set of
+ * wrappers: fasp::Mutex (thread_annotations.h), PageLatch
+ * (pager/latch_table.h) and PmDevice (pm/device.h). This header gives
+ * those wrappers one optional indirection point — a process-global
+ * SchedulerHook — that the cooperative model-check scheduler (src/mc)
+ * installs to serialize participating threads at every such event and
+ * enumerate their interleavings.
  *
  * Cost when no checker runs: one relaxed thread_local read per
  * wrapper operation (activeHook() returns nullptr unless the calling
@@ -18,9 +17,9 @@
  *
  * Re-entrancy: wrapper implementations take *internal* locks of their
  * own (the device's cache-shard mutexes, the checker's bookkeeping
- * mutex, the RTM line locks). Those must not become scheduling points
- * — they are invisible implementation detail, and parking inside them
- * would deadlock the scheduler itself. Every wrapper therefore raises
+ * mutex). Those must not become scheduling points — they are
+ * invisible implementation detail, and parking inside them would
+ * deadlock the scheduler itself. Every wrapper therefore raises
  * its hook point first and then enters a HookDepthGuard scope, which
  * suppresses nested hook calls on the same thread.
  *
@@ -48,10 +47,6 @@ enum class HookOp : std::uint8_t {
     LatchUpgrade,          //!< PageLatch shared->exclusive attempt
     LatchReleaseShared,    //!< PageLatch shared release
     LatchReleaseExclusive, //!< PageLatch exclusive release
-    LatchDowngrade,        //!< PageLatch exclusive->shared
-    RtmBegin,              //!< emulated-RTM attempt starts
-    RtmCommit,             //!< emulated-RTM attempt committed
-    RtmAbort,              //!< emulated-RTM attempt aborted
     PmStore,               //!< PmDevice::write/writeScratch
     PmFlush,               //!< PmDevice::clflush
     PmFence,               //!< PmDevice::sfence
@@ -70,7 +65,7 @@ const char *hookOpName(HookOp op);
  *   atPoint(op, addr, len)  raised BEFORE the operation takes effect.
  *       The hook may park the calling thread and run others; when it
  *       returns, the thread owns the (logical) CPU and performs the
- *       operation. @p addr identifies the resource (mutex/latch/rtm
+ *       operation. @p addr identifies the resource (mutex/latch
  *       object address, or durable-image byte address for PM ops) and
  *       @p len its extent (PM ops; 1 otherwise).
  *

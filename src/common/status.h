@@ -27,7 +27,7 @@ enum class StatusCode {
     NoSpace,       //!< PM device / page allocator exhausted
     Corruption,    //!< invariant violated in persistent state
     InvalidArgument,
-    TxConflict,    //!< transaction aborted (e.g. HTM fallback exhausted)
+    TxConflict,    //!< transaction aborted (e.g. PCAS retries exhausted)
     NotSupported,
     IoError,
     ParseError,    //!< SQL syntax error

@@ -5,11 +5,12 @@
  * Engine: the top-level storage-engine interface uniting the paper's
  * schemes and baselines under one API.
  *
- *   FAST      — failure-atomic slotted paging with in-place commit via
- *               HTM for single-page transactions, slot-header logging
+ *   FAST      — failure-atomic slotted paging with in-place commit
+ *               (one persistent CAS of the slot header's first word)
+ *               for single-page transactions, slot-header logging
  *               otherwise (paper §4.2).
- *   FASH      — slot-header logging for every transaction (§4.1); no
- *               HTM requirement, headers may exceed a cache line.
+ *   FASH      — slot-header logging for every transaction (§4.1);
+ *               headers may exceed a cache line.
  *   NVWAL     — DRAM buffer cache + differential logging in PM through
  *               a persistent heap (the paper's main baseline).
  *   LegacyWal — page-granularity WAL in PM (Figure 1b).
@@ -35,7 +36,6 @@
 #include "btree/tx_page_io.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "htm/rtm.h"
 #include "obs/flight_recorder.h"
 #include "pager/pager.h"
 #include "pm/pcas.h"
@@ -59,19 +59,11 @@ enum class EngineKind : std::uint8_t {
 /** Printable name ("FAST", "FASH", "NVWAL", ...). */
 const char *engineKindName(EngineKind kind);
 
-/** How FAST publishes a single-page commit's new slot header. */
-enum class InPlaceCommitVia : std::uint8_t {
-    /** One persistent CAS of header word 0 over a double-buffered
-     *  slot array (DESIGN.md §14): word-granular publication, torn-line
-     *  tolerant, no HTM requirement, and no shared line-lock table —
-     *  concurrent commits to different pages never serialize on each
-     *  other. */
-    Pcas,
-    /** The paper's HTM path: a single-cache-line RTM region publishes
-     *  the header, one clflush makes it durable. Relies on the
-     *  cache-line write-back being atomic (paper §3.2). */
-    Rtm,
-};
+/** How FAST publishes a single-page commit's new slot header: one
+ *  persistent CAS of header word 0 over a double-buffered slot array
+ *  (DESIGN.md §14), the only way. A stub: perfbench's provenance line
+ *  reads it. It goes with the next benchmark change (ROADMAP item 3). */
+enum class InPlaceCommitVia : std::uint8_t { Pcas };
 
 /** Engine construction parameters. */
 struct EngineConfig
@@ -81,17 +73,12 @@ struct EngineConfig
     /** Buffer-cache capacity in pages (buffered engines only). */
     std::size_t volatileCachePages = 4096;
 
-    /** RTM behaviour (FAST only). After rtm.maxRetries consecutive
-     *  aborts FAST falls back to slot-header logging for the commit
-     *  (paper §3.2 footnote). */
-    htm::RtmConfig rtm{.maxRetries = 64};
-
-    /** FAST's in-place publication primitive. Defaults to PCAS; the
-     *  RTM path is kept for the ablation benches and the multi-client
-     *  scaling comparison that decides between the two. */
+    /** Stub with one value; see InPlaceCommitVia. */
     InPlaceCommitVia inPlaceCommitVia = InPlaceCommitVia::Pcas;
 
-    /** PCAS failure-injection / retry policy (FAST + PCAS only). */
+    /** PCAS failure-injection / retry policy (FAST only). After
+     *  pcas.maxRetries failed attempts FAST falls back to slot-header
+     *  logging for the commit (paper §3.2 footnote). */
     pm::PcasConfig pcas;
 
     /** Formatting parameters (used when format = true). */

@@ -17,10 +17,7 @@ using pm::PhaseScope;
 
 FaspEngine::FaspEngine(pm::PmDevice &device, const EngineConfig &cfg,
                        const pager::Superblock &sb)
-    : Engine(device, cfg, sb), log_(device, sb), rtm_(device, cfg.rtm),
-      pcas_(device, cfg.pcas),
-      commitViaPcas_(cfg.kind == EngineKind::Fast &&
-                     cfg.inPlaceCommitVia == InPlaceCommitVia::Pcas),
+    : Engine(device, cfg, sb), log_(device, sb), pcas_(device, cfg.pcas),
       bitmapIO_(bitmap_), allocator_(bitmapIO_, sb)
 {
     FASP_ASSERT(cfg.kind == EngineKind::Fast ||
@@ -341,38 +338,22 @@ FaspTransaction::rollback()
     obs::spanEnd(/*committed=*/false, nullptr);
 }
 
-bool
-FaspTransaction::inPlaceEligible(const FaspPageIO &io) const
-{
-    // PCAS publishes one 8-byte word, RTM one cache line (paper §4.2).
-    return engine_.commitViaPcas_
-               ? io.oneWordCommittable()
-               : io.shadowBytes().size() <= kCacheLineSize;
-}
-
 Status
 FaspTransaction::commitInPlace(PageState &st)
 {
     pm::SiteScope site(engine_.device_, "FaspTransaction::commitInPlace");
-    // (i) Persist the in-place record writes (Figure 7). With PCAS the
-    // new slot array rides along in the buffer readers do not use: it
-    // stays invisible until word 0 switches to it, so it persists like
-    // record content, under the same fence.
+    // (i) Persist the in-place record writes (Figure 7). The new slot
+    // array rides along in the buffer readers do not use: it stays
+    // invisible until word 0 switches to it, so it persists like record
+    // content, under the same fence.
     {
         PhaseScope phase(Component::FlushRecord);
-        bool flushed = st.io->flushDirtyRanges() > 0;
-        if (engine_.commitViaPcas_) {
-            st.io->stageSlotArray();
-            flushed = true;
-        }
-        if (flushed)
-            engine_.device_.sfence();
+        st.io->flushDirtyRanges();
+        st.io->stageSlotArray();
+        engine_.device_.sfence();
     }
     // (ii) The in-place commit mark (paper §3.2 / DESIGN.md §14).
-    Status published = engine_.commitViaPcas_ ? commitInPlacePcas(st)
-                                              : commitInPlaceRtm(st);
-    if (!published.isOk())
-        return published;
+    FASP_RETURN_IF_ERROR(commitInPlacePcas(st));
     {
         PhaseScope phase(Component::CommitMisc);
         applyReclaims();
@@ -382,39 +363,13 @@ FaspTransaction::commitInPlace(PageState &st)
 }
 
 Status
-FaspTransaction::commitInPlaceRtm(PageState &st)
-{
-    // One RTM transaction publishes the new slot header, one clflush
-    // makes it durable (paper §3.2). Correct only under the paper's
-    // cache-line write-back atomicity assumption — see
-    // tests/recovery/atomicity_assumptions_test.cc. The header goes out
-    // in canonical layout, so a leaf last published in its second
-    // slot-array buffer returns to the first.
-    PhaseScope phase(Component::Atomic64BWrite);
-    // The record writes above must be fenced before the header
-    // publish makes them reachable.
-    engine_.device_.txCommitPoint();
-    auto header = st.io->shadowBytes();
-    FASP_ASSERT(header.size() <= kCacheLineSize);
-    bool committed =
-        engine_.rtm_.execute([&](htm::RtmRegion &region) {
-            region.write(st.io->pageOff(), header.data(),
-                         header.size());
-        });
-    if (!committed)
-        return Status(StatusCode::TxConflict, "rtm fallback");
-    engine_.device_.clflush(st.io->pageOff());
-    engine_.device_.sfence();
-    return Status::ok();
-}
-
-Status
 FaspTransaction::commitInPlacePcas(PageState &st)
 {
     // One persistent CAS of header word 0 publishes the new nrec and
     // contentStart and switches readers to the slot array staged above:
-    // one flush + one fence, like the RTM path, but word-atomic — no
-    // line-tear exposure and no shared line-lock table (DESIGN.md §14).
+    // one flush + one fence, the same bill as the paper's RTM publish
+    // of the header line, but word-atomic, so a torn cache line cannot
+    // expose half a header (DESIGN.md §14).
     PhaseScope phase(Component::Atomic64BWrite);
     engine_.device_.txCommitPoint();
     pm::PcasResult result = engine_.pcas_.cas(
@@ -525,11 +480,11 @@ FaspTransaction::commit()
                modified_count == 1 && allocs_.empty() &&
                frees_.empty() && !modified->fresh &&
                modified->io->headerDirty() &&
-               inPlaceEligible(*modified->io)) {
+               modified->io->oneWordCommittable()) {
         status = commitInPlace(*modified);
         commit_path = "in-place";
         if (status.code() == StatusCode::TxConflict) {
-            // RTM kept aborting or the PCAS lost: fall back to
+            // The PCAS lost or spent its retries: fall back to
             // slot-header logging (paper §3.2 footnote 1).
             if (auto *fr = engine_.recorder()) {
                 fr->append(obs::FlightEventType::Fallback,

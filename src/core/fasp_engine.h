@@ -10,10 +10,11 @@
  *          second slot-array buffer, and one persistent CAS of header
  *          word 0 — one clflush, one fence — switches readers to it
  *          together with the new record count (DESIGN.md §14). The
- *          paper's RTM publish of the whole header line stays
- *          selectable (EngineConfig::inPlaceCommitVia). Everything else
- *          falls back to slot-header logging, as does FAST itself when
- *          the publish gives up.
+ *          paper publishes the header line with RTM instead; the CAS
+ *          costs the same flush and fence and needs no cache-line
+ *          write-back atomicity. Everything else falls back to
+ *          slot-header logging, as does FAST itself when the publish
+ *          gives up.
  *
  * There is no DRAM buffer cache: the database pages in PM *are* the
  * buffer cache (the paper's PM-only buffer caching).
@@ -34,6 +35,8 @@
 #ifndef FASP_CORE_FASP_ENGINE_H
 #define FASP_CORE_FASP_ENGINE_H
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -41,7 +44,6 @@
 #include "common/thread_annotations.h"
 #include "core/engine.h"
 #include "core/fasp_page_io.h"
-#include "htm/rtm.h"
 #include "pager/latch_table.h"
 #include "pm/pcas.h"
 #include "wal/slot_header_log.h"
@@ -85,10 +87,8 @@ class FaspTransaction : public Transaction, public btree::TxPageIO
     enum class LatchMode : std::uint8_t { Shared, Exclusive };
 
     PageState &state(PageId pid);
-    bool inPlaceEligible(const FaspPageIO &io) const;
     Status commitInPlace(PageState &st);
     Status commitInPlacePcas(PageState &st);
-    Status commitInPlaceRtm(PageState &st);
     Status commitLogged();
     void applyReclaims();
 
@@ -132,12 +132,31 @@ class FaspEngine : public Engine
     {
         return log_;
     }
-    htm::Rtm &rtm() { return rtm_; }
     pm::Pcas &pcas() { return pcas_; }
     LatchTable &latches() { return latches_; }
 
-    /** True when single-page commits publish via PCAS. */
-    bool commitViaPcas() const { return commitViaPcas_; }
+    /** True for FAST, whose single-page commits publish via PCAS. A
+     *  stub: perfbench reads it. It goes with the next benchmark change
+     *  (ROADMAP item 3). */
+    bool commitViaPcas() const { return kind() == EngineKind::Fast; }
+
+    /** Stub: perfbench's htm.rtm_begins metric reads stats().begins,
+     *  which stays 0 since FAST has no RTM path. It goes with the next
+     *  benchmark change (ROADMAP item 3). */
+    struct RtmStub
+    {
+        struct Stats
+        {
+            // fasp-analyze: allow(raw-std-sync) -- never written.
+            std::atomic<std::uint64_t> begins{0};
+        } stats_;
+        const Stats &stats() const { return stats_; }
+    };
+    static const RtmStub &rtm()
+    {
+        static const RtmStub stub;
+        return stub;
+    }
 
   private:
     friend class FaspTransaction;
@@ -161,9 +180,7 @@ class FaspEngine : public Engine
     Mutex allocMutex_ ACQUIRED_AFTER(logMutex_);
 
     wal::SlotHeaderLog log_ GUARDED_BY(logMutex_);
-    htm::Rtm rtm_;
     pm::Pcas pcas_;
-    bool commitViaPcas_;
     LatchTable latches_;
 
     /** Volatile mirror of the allocation bitmap (durable updates ride

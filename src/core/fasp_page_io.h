@@ -13,8 +13,8 @@
  *  - Header writes are redirected to a volatile *shadow header* — the
  *    transaction-private image of the fixed header + record offset
  *    array. The shadow is published at commit time by the FAST
- *    in-place commit (one 8-byte PCAS, or one RTM cache-line write)
- *    or through the slot-header log.
+ *    in-place commit (one 8-byte PCAS) or through the slot-header
+ *    log.
  *
  *  - Scratch writes (intra-page free list) go straight to PM with no
  *    tracking or flushing: they never need failure atomicity (§4.3).
@@ -26,7 +26,7 @@
  * — kSecondBufferFlag — selects the live one. This class alone knows
  * that: every read shows src/page and src/btree the logical header
  * (flag clear, array at kSlotArrayOff), and shadowBytes() is that
- * canonical image, which the logged and RTM commits write raw at page
+ * canonical image, which the logged commit writes raw at page
  * offset 0 — resetting the page to the first buffer. The PCAS commit
  * instead stages the new array in the unused buffer and publishes it
  * together with nrec and contentStart by a CAS of word 0 alone.

@@ -59,13 +59,7 @@ CoopScheduler::tokenForLocked(HookOp op, const void *addr)
       case HookOp::LatchUpgrade:
       case HookOp::LatchReleaseShared:
       case HookOp::LatchReleaseExclusive:
-      case HookOp::LatchDowngrade:
         cls = 2;
-        break;
-      case HookOp::RtmBegin:
-      case HookOp::RtmCommit:
-      case HookOp::RtmAbort:
-        cls = 3;
         break;
       default:
         return 0;

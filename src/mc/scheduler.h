@@ -3,7 +3,7 @@
  * CoopScheduler: the deterministic cooperative scheduler at the heart
  * of fasp-mc (DESIGN.md §13).
  *
- * The instrumented primitives (fasp::Mutex, pager::PageLatch, htm::Rtm,
+ * The instrumented primitives (fasp::Mutex, pager::PageLatch,
  * pm::PmDevice) raise a SchedulerHook point *before* every visible
  * synchronization or persistence operation. CoopScheduler implements
  * that hook so that at any instant exactly one worker thread is

@@ -7,7 +7,9 @@ namespace fasp::mc {
 
 namespace {
 
-constexpr char kMagic[8] = {'F', 'A', 'S', 'P', 'M', 'C', '0', '1'};
+/** The version digits change whenever the HookOp values a step stores
+ *  are renumbered, so an older trace is rejected, not misreplayed. */
+constexpr char kMagic[8] = {'F', 'A', 'S', 'P', 'M', 'C', '0', '2'};
 
 void
 putU32(std::string &out, std::uint32_t v)

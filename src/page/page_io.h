@@ -9,8 +9,8 @@
  *  - FAST / FASH: content writes go in-place to PM (they land in free
  *    space, so they are harmless before commit) while header writes are
  *    redirected to a volatile *shadow header* that is only published at
- *    commit time — by an RTM in-place commit or through the slot-header
- *    log. This is the paper's core idea.
+ *    commit time — by FAST's in-place commit (one 8-byte PCAS) or
+ *    through the slot-header log. This is the paper's core idea.
  *
  *  - NVWAL / legacy WAL / rollback journal: every write goes to a
  *    volatile buffer-cache copy of the page; commit persists it via

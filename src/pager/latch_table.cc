@@ -220,12 +220,6 @@ LatchTable::releaseExclusive(std::size_t slot)
     slots_[slot].releaseExclusive();
 }
 
-void
-LatchTable::downgrade(std::size_t slot)
-{
-    slots_[slot].downgrade();
-}
-
 LatchStats
 LatchTable::statsSnapshot() const
 {

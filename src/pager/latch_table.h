@@ -122,17 +122,6 @@ class alignas(64) CAPABILITY("latch") PageLatch
             h->onRelease(mc::HookOp::LatchReleaseExclusive, this);
     }
 
-    /** Exclusive→shared (never fails; used after a structure-modifying
-     *  operation finishes its writes but keeps reading). Like
-     *  tryUpgrade(), the transition is outside the static model. */
-    void downgrade() NO_THREAD_SAFETY_ANALYSIS
-    {
-        state_.store(1, std::memory_order_release);
-        // Waiting readers may proceed once exclusivity drops.
-        if (mc::SchedulerHook *h = mc::activeHook())
-            h->onRelease(mc::HookOp::LatchDowngrade, this);
-    }
-
   private:
     std::atomic<std::int32_t> state_{0};
 };
@@ -240,7 +229,6 @@ class LatchTable
     bool tryUpgrade(std::size_t slot) NO_THREAD_SAFETY_ANALYSIS;
     void releaseShared(std::size_t slot) NO_THREAD_SAFETY_ANALYSIS;
     void releaseExclusive(std::size_t slot) NO_THREAD_SAFETY_ANALYSIS;
-    void downgrade(std::size_t slot) NO_THREAD_SAFETY_ANALYSIS;
 
     LatchStats statsSnapshot() const;
 

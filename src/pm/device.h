@@ -33,7 +33,7 @@
  * byte access, so a latch-protocol bug shows up as a real data race
  * under ThreadSanitizer instead of being masked here.
  * Crash simulation (crash/reviveAfterCrash/setCrashInjector) and
- * configuration (setLatency/setChecker) are quiescent-state operations:
+ * configuration (setChecker) are quiescent-state operations:
  * call them only while no other thread is accessing the device.
  */
 
@@ -183,12 +183,6 @@ class PmDevice
     PmMode mode() const { return config_.mode; }
 
     const LatencyModel &latency() const { return config_.latency; }
-
-    /** Replace the latency model (benchmark sweeps; quiescent only). */
-    void setLatency(const LatencyModel &model)
-    {
-        config_.latency = model;
-    }
 
     // --- Data path -----------------------------------------------------
 

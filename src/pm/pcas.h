@@ -23,8 +23,8 @@
  * deliberately never flushed: if a crash leaves `new | dirty` in the
  * durable image, the value *is* durable (it is in the image), so
  * recovery simply strips the flag. That makes the steady-state cost of
- * a PCAS exactly one flush + one fence — the same bill as the RTM
- * in-place commit it replaces, with no line-tear exposure, because an
+ * a PCAS exactly one flush + one fence — the same bill as the paper's
+ * RTM in-place commit, with no line-tear exposure, because an
  * 8-byte aligned store is atomic on the modelled hardware while a
  * 64-byte line write-back is not.
  *
@@ -73,8 +73,8 @@ struct PcasConfig
     /** Probability that any single cas() attempt fails as if a
      *  concurrent writer won the word. The engines hold an exclusive
      *  page latch across commits, so real CAS losses cannot happen
-     *  there; this knob models the latch-free contention an RTM-style
-     *  deployment would see, for the ablation table. */
+     *  there; this knob models the contention a latch-free deployment
+     *  would see, and drives FAST's logging fallback in Table C. */
     double failProbability = 0.0;
 
     /** Attempts before cas() reports Exhausted and the caller falls

@@ -61,7 +61,7 @@ enum class Component : std::uint8_t {
     LogFlush,        //!< flushing log / WAL frames + commit mark
     WalIndex,        //!< NVWAL volatile WAL-index construction
     Checkpoint,      //!< eager checkpoint of slot-header log entries
-    Atomic64BWrite,  //!< FAST in-place commit (RTM + header-line flush)
+    Atomic64BWrite,  //!< FAST in-place commit (PCAS of header word 0)
     CommitMisc,      //!< other commit-path bookkeeping
     // --- Not part of insert breakdown ---
     Recovery,        //!< post-crash log scan and replay

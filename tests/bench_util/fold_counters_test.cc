@@ -1,7 +1,7 @@
 /**
  * @file
- * foldCounters: every core.*, pager.latch.* and htm.* counter an
- * export carries is folded from the one stats struct that counts its
+ * foldCounters: every core.* and pager.latch.* counter an export
+ * carries is folded from the one stats struct that counts its
  * event, over the measured phase only (DESIGN.md §11).
  */
 
@@ -22,7 +22,6 @@ namespace {
 
 using core::EngineConfig;
 using core::EngineKind;
-using core::InPlaceCommitVia;
 
 /** The global registry's non-zero folded counters (pager.page_allocs
  *  and pager.page_frees are still counted at their call sites). */
@@ -55,7 +54,6 @@ expectedCounters(const EngineCounters &before, const EngineCounters &after)
 {
     const core::EngineStats &e0 = before.engine, &e = after.engine;
     const pm::PcasStats &p0 = before.pcas, &p = after.pcas;
-    const htm::RtmStats &r0 = before.rtm, &r = after.rtm;
     const LatchStats &l0 = before.latches, &l = after.latches;
 
     std::map<std::string, std::uint64_t> all = {
@@ -67,17 +65,10 @@ expectedCounters(const EngineCounters &before, const EngineCounters &after)
         {"pager.latch.exclusive_acquires",
          l.exclusiveAcquires - l0.exclusiveAcquires},
         {"pager.latch.upgrades", l.upgrades - l0.upgrades},
-        {"core.pcas.commits",
-         after.commitViaPcas ? delta(e0.inPlaceCommits, e.inPlaceCommits)
-                             : 0},
+        {"core.pcas.commits", delta(e0.inPlaceCommits, e.inPlaceCommits)},
         {"core.pcas.fallbacks", delta(e0.pcasFallbacks, e.pcasFallbacks)},
         {"core.pcas.conflicts", delta(p0.casConflicts, p.casConflicts)},
         {"core.pcas.exhausted", delta(p0.casExhausted, p.casExhausted)},
-        {"htm.commits", delta(r0.commits, r.commits)},
-        {"htm.fallbacks", delta(r0.fallbacks, r.fallbacks)},
-        {"htm.aborts.injected", delta(r0.abortsInjected, r.abortsInjected)},
-        {"htm.aborts.contention",
-         delta(r0.abortsContention, r.abortsContention)},
     };
     std::map<std::string, std::uint64_t> nonzero;
     for (const auto &[name, value] : all)
@@ -138,27 +129,25 @@ class FoldCountersTest : public ::testing::Test
     }
 };
 
-TEST_F(FoldCountersTest, RtmPinnedAndForcedToFallBack)
+TEST_F(FoldCountersTest, PcasForcedToFallBack)
 {
     EngineConfig cfg;
     cfg.kind = EngineKind::Fast;
-    cfg.inPlaceCommitVia = InPlaceCommitVia::Rtm;
-    cfg.rtm.abortProbability = 1.0; // every attempt aborts
-    cfg.rtm.maxRetries = 2;
+    cfg.pcas.failProbability = 1.0; // every attempt fails
+    cfg.pcas.maxRetries = 2;
     EngineCounters before, after;
     runMeasured(cfg, before, after);
 
     auto folded = foldedCounters();
     EXPECT_EQ(folded, expectedCounters(before, after));
-    EXPECT_GT(folded["htm.fallbacks"], 0u);
-    EXPECT_EQ(folded["htm.fallbacks"],
-              delta(before.rtm.fallbacks, after.rtm.fallbacks));
-    EXPECT_EQ(folded["htm.aborts.injected"],
-              3 * folded["htm.fallbacks"]); // 1 try + 2 retries each
-    EXPECT_EQ(folded.count("core.pcas.fallbacks"), 0u);
+    EXPECT_GT(folded["core.pcas.fallbacks"], 0u);
+    EXPECT_EQ(folded["core.pcas.fallbacks"],
+              delta(before.engine.pcasFallbacks,
+                    after.engine.pcasFallbacks));
+    EXPECT_EQ(folded["core.pcas.exhausted"],
+              folded["core.pcas.fallbacks"]);
     EXPECT_GT(folded["core.tx.rollbacks"], 0u);
     EXPECT_GT(folded["pager.latch.conflicts"], 0u);
-    EXPECT_EQ(folded.count("htm.commits"), 0u);
     EXPECT_EQ(folded.count("core.pcas.commits"), 0u);
 }
 
@@ -166,16 +155,13 @@ TEST_F(FoldCountersTest, PcasCommits)
 {
     EngineConfig cfg;
     cfg.kind = EngineKind::Fast;
-    cfg.inPlaceCommitVia = InPlaceCommitVia::Pcas;
     EngineCounters before, after;
     runMeasured(cfg, before, after);
-    ASSERT_TRUE(after.commitViaPcas);
 
     auto folded = foldedCounters();
     EXPECT_EQ(folded, expectedCounters(before, after));
     EXPECT_GT(folded["core.pcas.commits"], 0u);
-    EXPECT_EQ(folded.count("htm.commits"), 0u);
-    EXPECT_EQ(folded.count("htm.fallbacks"), 0u);
+    EXPECT_EQ(folded.count("core.pcas.fallbacks"), 0u);
 }
 
 // runBench folds over its own measured phase: its counters describe
@@ -187,8 +173,7 @@ TEST_F(FoldCountersTest, InsertBenchFoldsItsMeasuredPhase)
     obs::SpanProfiler::global().reset();
     BenchConfig config;
     config.kind = EngineKind::Fast;
-    config.commitVia = InPlaceCommitVia::Rtm;
-    config.rtm.abortProbability = 1.0;
+    config.pcas.failProbability = 1.0;
     config.opsPerClient = 200;
     BenchResult result = runBench(config);
 
@@ -200,10 +185,11 @@ TEST_F(FoldCountersTest, InsertBenchFoldsItsMeasuredPhase)
     EXPECT_EQ(folded["core.tx.commits"],
               result.counters.engine.txCommitted);
     EXPECT_EQ(folded["core.tx.commits"], config.opsPerClient);
-    EXPECT_GT(folded["htm.fallbacks"], 0u);
-    EXPECT_EQ(folded["htm.fallbacks"], result.counters.rtm.fallbacks);
-    EXPECT_EQ(folded["htm.aborts.injected"],
-              result.counters.rtm.abortsInjected);
+    EXPECT_GT(folded["core.pcas.fallbacks"], 0u);
+    EXPECT_EQ(folded["core.pcas.fallbacks"],
+              result.counters.engine.pcasFallbacks);
+    EXPECT_EQ(folded["core.pcas.exhausted"],
+              result.counters.pcas.casExhausted);
 }
 
 } // namespace

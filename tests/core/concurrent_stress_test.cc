@@ -8,8 +8,6 @@
  *  - PmDevice (CacheSim mode): concurrent writers on disjoint lines
  *    through the sharded dirty-line cache, with the persistency
  *    checker attached.
- *  - Rtm: concurrent single-line transactions on disjoint and on
- *    overlapping lines; commits must serialize per line.
  *  - Engines: N client threads of mixed insert/update/delete traffic
  *    against one tree, persistency checker attached throughout, then
  *    a single-threaded full verification pass against a per-thread
@@ -32,7 +30,6 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
-#include "htm/rtm.h"
 #include "pager/latch_table.h"
 #include "pm/device.h"
 #include "support/checker_guard.h"
@@ -246,129 +243,6 @@ TEST(ConcurrentDeviceTest, DisjointLineWritersUnderChecker)
     }
     EXPECT_EQ(device.stats().clflushes,
               kThreads * kRounds * kLinesPerThread);
-}
-
-// -------------------------------------------------------------------- rtm
-
-TEST(ConcurrentRtmTest, OverlappingCommitsSerializePerLine)
-{
-    PmConfig pm_cfg;
-    pm_cfg.size = 1u << 20;
-    pm_cfg.mode = PmMode::Direct;
-    PmDevice device(pm_cfg);
-
-    htm::RtmConfig rtm_cfg;
-    htm::Rtm rtm(device, rtm_cfg);
-
-    // Phase 1: all threads blind-write tagged values to the same
-    // cache line through RTM regions. The bodies never read the
-    // contended line (the engines always hold at least a shared page
-    // latch while reading, so body-time reads of lines another thread
-    // is committing cannot happen); only the commit-time applies
-    // touch the device, and the per-line locks must serialize them so
-    // no store tears and every committed value is one of the tags.
-    constexpr PmOffset kOff = 0;
-    constexpr std::size_t kIncrements = 5000;
-    std::uint64_t zero = 0;
-    device.write(kOff, &zero, sizeof zero);
-
-    std::vector<std::thread> workers;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-            for (std::size_t i = 1; i <= kIncrements; ++i) {
-                std::uint64_t tag = (t + 1) * 1'000'000 + i;
-                bool committed = rtm.execute([&](htm::RtmRegion &r) {
-                    r.write(kOff, &tag, sizeof tag);
-                });
-                ASSERT_TRUE(committed);
-            }
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-
-    std::uint64_t last = 0;
-    device.read(kOff, &last, sizeof last);
-    std::uint64_t tid = last / 1'000'000, seq = last % 1'000'000;
-    EXPECT_GE(tid, 1u);
-    EXPECT_LE(tid, kThreads);
-    EXPECT_EQ(seq, kIncrements); // each thread's writes apply in order
-
-    // Phase 2: the engines' actual pattern — read-modify-write under
-    // an external exclusive latch (as FaspEngine holds page latches
-    // across its RTM commit). The count must come out exact.
-    device.write(kOff, &zero, sizeof zero);
-    LatchTable latches(16);
-    const std::size_t slot = latches.slotFor(0);
-    std::vector<std::thread> latched;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        latched.emplace_back([&] {
-            for (std::size_t i = 0; i < kIncrements; ++i) {
-                while (!latches.tryAcquireExclusive(slot))
-                    std::this_thread::yield();
-                bool committed = rtm.execute([&](htm::RtmRegion &r) {
-                    std::uint64_t cur = 0;
-                    device.read(kOff, &cur, sizeof cur);
-                    ++cur;
-                    r.write(kOff, &cur, sizeof cur);
-                });
-                latches.releaseExclusive(slot);
-                ASSERT_TRUE(committed);
-            }
-        });
-    }
-    for (auto &w : latched)
-        w.join();
-
-    std::uint64_t final_count = 0;
-    device.read(kOff, &final_count, sizeof final_count);
-    EXPECT_EQ(final_count, kThreads * kIncrements);
-
-    const htm::RtmStats &stats = rtm.stats();
-    EXPECT_EQ(stats.fallbacks.load(), 0u);
-    EXPECT_EQ(stats.aborts.load(), stats.abortsContention.load());
-}
-
-TEST(ConcurrentRtmTest, DisjointLinesNeverContend)
-{
-    PmConfig pm_cfg;
-    pm_cfg.size = 1u << 20;
-    pm_cfg.mode = PmMode::Direct;
-    PmDevice device(pm_cfg);
-
-    htm::Rtm rtm(device, htm::RtmConfig{});
-
-    constexpr std::size_t kIncrements = 5000;
-    std::vector<std::thread> workers;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-            // One private cache line per thread; spaced two lines
-            // apart so the commit-lock hash cannot collide... it can
-            // (hashing), but disjoint *lines* are the common case and
-            // collisions only cost spurious aborts, handled by retry.
-            PmOffset off =
-                static_cast<PmOffset>(t * 2 * kCacheLineSize);
-            for (std::size_t i = 0; i < kIncrements; ++i) {
-                bool committed = rtm.execute([&](htm::RtmRegion &r) {
-                    std::uint64_t cur = 0;
-                    device.read(off, &cur, sizeof cur);
-                    ++cur;
-                    r.write(off, &cur, sizeof cur);
-                });
-                ASSERT_TRUE(committed);
-            }
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        PmOffset off =
-            static_cast<PmOffset>(t * 2 * kCacheLineSize);
-        std::uint64_t v = 0;
-        device.read(off, &v, sizeof v);
-        EXPECT_EQ(v, kIncrements);
-    }
 }
 
 // ---------------------------------------------------------------- engines

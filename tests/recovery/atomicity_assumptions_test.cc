@@ -3,22 +3,19 @@
  * Tests pinning down the paper's atomicity assumptions (Sections 1 and
  * 3.2):
  *
- *  - FAST's *RTM* in-place commit requires failure-atomic cache-line
- *    writes: under a torn-line (8-byte-atomic-only) adversary, a
- *    single in-place header commit CAN leave an inconsistent durable
- *    page. We demonstrate the assumption's necessity by finding such a
- *    tear, then show that FASH — which the paper offers precisely
- *    "when the atomic write granularity for PM is smaller than the
- *    cache line size" — survives the identical adversary at every
- *    crash point (covered exhaustively in crash_sweep_test.cc; spot-
- *    checked here for the same scenario).
+ *  - The paper's FAST publishes its in-place header with RTM and so
+ *    requires failure-atomic cache-line writes. This FAST (DESIGN.md
+ *    §14) stages the new slot array in the leaf's second buffer and
+ *    publishes it with one 8-byte CAS of header word 0, so it needs no
+ *    line atomicity: a torn-line (8-byte-atomic-only) adversary must
+ *    never tear it, whether the commit appends, shifts the slot array,
+ *    updates or deletes, and whichever buffer the leaf currently reads
+ *    from.
  *
- *  - FAST's default *PCAS* in-place commit (DESIGN.md §14) stages the
- *    new slot array in the leaf's second buffer and publishes it with
- *    one 8-byte CAS of header word 0, so it needs no line atomicity:
- *    the same torn-line adversary must never tear it, whether the
- *    commit appends, shifts the slot array, updates or deletes, and
- *    whichever buffer the leaf currently reads from.
+ *  - FASH, which the paper offers precisely "when the atomic write
+ *    granularity for PM is smaller than the cache line size", survives
+ *    the same adversary at every crash point (covered exhaustively in
+ *    crash_sweep_test.cc; spot-checked here for the same scenario).
  */
 
 #include <gtest/gtest.h>
@@ -78,8 +75,8 @@ applyStep(const Step &step, Model &model)
  * in its before or its after state.
  */
 Status
-crashWindow(CrashPolicy policy, InPlaceCommitVia via, std::uint64_t seed,
-            std::uint64_t k, const std::vector<std::uint64_t> &seed_keys,
+crashWindow(CrashPolicy policy, std::uint64_t seed, std::uint64_t k,
+            const std::vector<std::uint64_t> &seed_keys,
             const std::vector<Step> &steps, bool *crashed)
 {
     PmConfig pm_cfg;
@@ -91,7 +88,6 @@ crashWindow(CrashPolicy policy, InPlaceCommitVia via, std::uint64_t seed,
     testsupport::PmCheckerGuard guard(device);
     EngineConfig cfg;
     cfg.kind = EngineKind::Fast;
-    cfg.inPlaceCommitVia = via;
     cfg.format.logLen = 1u << 20;
     auto engine = std::move(*Engine::create(device, cfg, true));
     auto tree = *engine->createTree(1);
@@ -185,73 +181,24 @@ crashWindow(CrashPolicy policy, InPlaceCommitVia via, std::uint64_t seed,
  * recovered tree's state check.
  */
 Status
-crashOneInsert(CrashPolicy policy, InPlaceCommitVia via,
-               std::uint64_t seed, std::uint64_t k, bool *crashed)
+crashOneInsert(CrashPolicy policy, std::uint64_t seed, std::uint64_t k,
+               bool *crashed)
 {
-    return crashWindow(policy, via, seed, k,
+    return crashWindow(policy, seed, k,
                        {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
                        {{Step::Insert, 999}}, crashed);
 }
 
-TEST(AtomicityAssumptionTest, FastRtmNeedsCacheLineAtomicity)
-{
-    // Under whole-line crash persistence FAST-RTM must ALWAYS recover
-    // consistent (this mirrors a slice of the exhaustive sweep)...
-    for (std::uint64_t k = 0;; ++k) {
-        bool crashed = false;
-        Status integrity =
-            crashOneInsert(CrashPolicy::RandomLines,
-                           InPlaceCommitVia::Rtm, 1234 + k, k,
-                           &crashed);
-        if (!crashed)
-            break;
-        ASSERT_TRUE(integrity.isOk()) << "line-atomic crash point "
-                                      << k << ": "
-                                      << integrity.toString();
-    }
-
-    // ...but under TORN lines (8-byte atomic units only) the RTM
-    // header publish can tear: search for a demonstration. The paper
-    // states the assumption explicitly ("we assume that the underlying
-    // hardware supports failure atomicity at cache line granularity");
-    // finding a violation under the weaker model shows the assumption
-    // is load-bearing, not decorative.
-    bool found_tear = false;
-    for (std::uint64_t seed = 1; seed <= 40 && !found_tear; ++seed) {
-        for (std::uint64_t k = 0; k < 40; ++k) {
-            bool crashed = false;
-            Status integrity =
-                crashOneInsert(CrashPolicy::TornLines,
-                               InPlaceCommitVia::Rtm, seed, k,
-                               &crashed);
-            if (!crashed)
-                break;
-            if (!integrity.isOk()) {
-                found_tear = true;
-                break;
-            }
-        }
-    }
-    EXPECT_TRUE(found_tear)
-        << "expected at least one torn RTM in-place header under the "
-           "8-byte-atomicity adversary; if this starts passing, the "
-           "RTM commit has become line-tear tolerant and the PCAS "
-           "path's reason to be the default should be re-documented";
-}
-
 TEST(AtomicityAssumptionTest, FastPcasSurvivesTornLines)
 {
-    // The default PCAS in-place commit publishes only 8-byte words, so
-    // the identical torn-line adversary (same seeds and crash points
-    // that tear the RTM path above) must never produce an inconsistent
-    // page — word atomicity is all the protocol assumes.
+    // The PCAS in-place commit publishes only 8-byte words, so the
+    // torn-line adversary must never produce an inconsistent page —
+    // word atomicity is all the protocol assumes.
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         for (std::uint64_t k = 0; k < 40; ++k) {
             bool crashed = false;
             Status integrity =
-                crashOneInsert(CrashPolicy::TornLines,
-                               InPlaceCommitVia::Pcas, seed, k,
-                               &crashed);
+                crashOneInsert(CrashPolicy::TornLines, seed, k, &crashed);
             if (!crashed)
                 break;
             ASSERT_TRUE(integrity.isOk())
@@ -285,9 +232,8 @@ TEST(AtomicityAssumptionTest, FastPcasSurvivesTornLinesOnEveryCommitKind)
             for (std::uint64_t seed = 1; seed <= 20; ++seed) {
                 for (std::uint64_t k = 0;; ++k) {
                     bool crashed = false;
-                    Status state =
-                        crashWindow(policy, InPlaceCommitVia::Pcas,
-                                    seed, k, seeds, c.steps, &crashed);
+                    Status state = crashWindow(policy, seed, k, seeds,
+                                               c.steps, &crashed);
                     if (!crashed)
                         break;
                     ASSERT_TRUE(state.isOk())

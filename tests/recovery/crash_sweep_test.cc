@@ -19,15 +19,15 @@
  * uncontrolled cache eviction before the failure); TornLines persists
  * arbitrary 8-byte words (PM whose atomic unit is 8 bytes). The
  * paper's RTM in-place commit assumes cache-line write atomicity
- * (Section 3.2); FAST's default in-place commit does not — it stages
+ * (Section 3.2); this FAST's in-place commit does not — it stages
  * the new slot array in the leaf's second buffer and publishes it with
  * one 8-byte PCAS of header word 0 (DESIGN.md §14) — so FAST runs
  * under TornLines like FASH, which the paper offers exactly for
  * sub-cache-line atomic units.
  *
  * The ForcedFallback cases pin FAST to its slot-header-log fallback
- * (both the PCAS and RTM in-place paths are given a one-attempt retry
- * budget with certain injected failure, paper §3.2 footnote 1), so
+ * (the PCAS publish is given a one-attempt retry budget with certain
+ * injected failure, paper §3.2 footnote 1), so
  * the sweep walks every crash point of the
  * multi-page logged commit — including the CoW-defragmentation and
  * leaf-split window ops — under adversarial partial-line persistence.
@@ -234,7 +234,7 @@ struct SweepCase
 {
     EngineKind kind;
     CrashPolicy policy;
-    /** Force FAST's RTM to abort every attempt so each commit takes
+    /** Force FAST's PCAS to fail every attempt so each commit takes
      *  the slot-header-log fallback path. */
     bool forceFallback = false;
     /** Swap the default window for the delete/defrag-pressure one
@@ -335,8 +335,6 @@ class CrashSweepTest : public ::testing::TestWithParam<SweepCase>
         cfg.format.logLen = 1u << 20;
         cfg.volatileCachePages = 512;
         if (GetParam().forceFallback) {
-            cfg.rtm.abortProbability = 1.0;
-            cfg.rtm.maxRetries = 1;
             cfg.pcas.failProbability = 1.0;
             cfg.pcas.maxRetries = 1;
         }
@@ -466,9 +464,7 @@ class CrashSweepTest : public ::testing::TestWithParam<SweepCase>
                 ADD_FAILURE() << "forced fallback needs a FAST engine";
                 return true;
             }
-            EXPECT_GT(fasp->rtm().stats().fallbacks.load() +
-                          engine->stats().pcasFallbacks.load(),
-                      0u);
+            EXPECT_GT(engine->stats().pcasFallbacks.load(), 0u);
             EXPECT_EQ(engine->stats().inPlaceCommits.load(), 0u);
         }
 

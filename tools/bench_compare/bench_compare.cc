@@ -7,10 +7,11 @@
  *
  * Comparison model:
  *
- *  - Tables are matched by exact title; rows positionally (the two
- *    reports must come from the same bench code at the same sweep
- *    settings — a shape mismatch means the snapshot is stale and the
- *    verdict is "shape", not a measured regression).
+ *  - Tables are matched by exact title, columns by name, rows
+ *    positionally (the two reports must come from the same bench code
+ *    at the same sweep settings — a shape mismatch, such as a gated
+ *    baseline column the candidate lacks, means the snapshot is stale
+ *    and the verdict is "shape", not a measured regression).
  *  - A column is gated when its name carries a known direction:
  *    throughput columns (ops/sec, ktxn/s, txn/s) regress when the
  *    candidate is LOWER; cost columns (commit(us)) regress when the
@@ -153,8 +154,9 @@ compareTable(const JsonValue &base, const JsonValue &cand,
     const JsonValue *title = base.find("title");
     const JsonValue *bcols = base.find("columns");
     const JsonValue *brows = base.find("rows");
+    const JsonValue *ccols = cand.find("columns");
     const JsonValue *crows = cand.find("rows");
-    if (!title || !bcols || !brows || !crows) {
+    if (!title || !bcols || !brows || !ccols || !crows) {
         err = "table missing title/columns/rows";
         return false;
     }
@@ -171,6 +173,17 @@ compareTable(const JsonValue &base, const JsonValue &cand,
         auto gate = opt.gates.find(col);
         if (gate == opt.gates.end())
             continue;
+        auto named = [&col](const JsonValue &v) { return v.str == col; };
+        auto cit = std::find_if(ccols->items.begin(), ccols->items.end(),
+                                named);
+        if (cit == ccols->items.end()) {
+            err = "'" + title->str + "': candidate has no column '" +
+                  col + "' (stale snapshot? refresh with " +
+                  "bench/snapshot.sh)";
+            return false;
+        }
+        const std::size_t cc =
+            static_cast<std::size_t>(cit - ccols->items.begin());
         bool higherIsBetter = gate->second;
         double tol = opt.tolerance;
         auto ct = opt.columnTolerance.find(col);
@@ -180,11 +193,11 @@ compareTable(const JsonValue &base, const JsonValue &cand,
         for (std::size_t r = 0; r < brows->items.size(); ++r) {
             const JsonValue &brow = brows->items[r];
             const JsonValue &crow = crows->items[r];
-            if (c >= brow.items.size() || c >= crow.items.size())
+            if (c >= brow.items.size() || cc >= crow.items.size())
                 continue;
             double b = 0, v = 0;
             if (!cellNumber(brow.items[c], b) ||
-                !cellNumber(crow.items[c], v))
+                !cellNumber(crow.items[cc], v))
                 continue;
             if (b <= 0)
                 continue;

@@ -286,8 +286,6 @@ Soak::engineConfig(bool forceFallback) const
     cfg.format.logLen = 2u << 20;
     cfg.volatileCachePages = 512;
     if (forceFallback) {
-        cfg.rtm.abortProbability = 1.0;
-        cfg.rtm.maxRetries = 1;
         cfg.pcas.failProbability = 1.0;
         cfg.pcas.maxRetries = 1;
     }

@@ -32,8 +32,8 @@ main(int argc, char **argv)
 
     obs::MetricsRegistry registry;
     registry.counter("core.tx.commits").add(120);
-    registry.counter("htm.commits").add(90);
-    registry.counter("htm.aborts.capacity").add(3);
+    registry.counter("core.pcas.commits").add(90);
+    registry.counter("core.pcas.fallbacks").add(3);
     registry.gauge("bench.clients").set(4);
     obs::Histogram &hist = registry.histogram("bench.txn_ns.FAST");
     for (std::uint64_t v : {0u, 1u, 5u, 5u, 900u, 1500u, 70000u})
