@@ -129,16 +129,11 @@ foldCounters(Engine &engine, const EngineCounters &before)
         if (delta != 0)
             reg.counter(name).add(delta);
     };
-    // Change of one atomic stats field over the measured phase.
-    auto d = [](const auto &after, const auto &base) {
-        return after.load(std::memory_order_relaxed) -
-               base.load(std::memory_order_relaxed);
-    };
     const core::EngineStats &e = now.engine, &e0 = before.engine;
     const pm::PcasStats &p = now.pcas, &p0 = before.pcas;
 
-    add("core.tx.commits", d(e.txCommitted, e0.txCommitted));
-    add("core.tx.rollbacks", d(e.txRolledBack, e0.txRolledBack));
+    add("core.tx.commits", e.txCommitted - e0.txCommitted);
+    add("core.tx.rollbacks", e.txRolledBack - e0.txRolledBack);
     add("pager.latch.conflicts",
         now.latches.conflicts - before.latches.conflicts);
     add("pager.latch.shared_acquires",
@@ -149,10 +144,10 @@ foldCounters(Engine &engine, const EngineCounters &before)
         now.latches.upgrades - before.latches.upgrades);
 
     // Only FAST commits in place, and always through PCAS.
-    add("core.pcas.commits", d(e.inPlaceCommits, e0.inPlaceCommits));
-    add("core.pcas.fallbacks", d(e.pcasFallbacks, e0.pcasFallbacks));
-    add("core.pcas.conflicts", d(p.casConflicts, p0.casConflicts));
-    add("core.pcas.exhausted", d(p.casExhausted, p0.casExhausted));
+    add("core.pcas.commits", e.inPlaceCommits - e0.inPlaceCommits);
+    add("core.pcas.fallbacks", e.pcasFallbacks - e0.pcasFallbacks);
+    add("core.pcas.conflicts", p.casConflicts - p0.casConflicts);
+    add("core.pcas.exhausted", p.casExhausted - p0.casExhausted);
 }
 
 namespace {
@@ -597,10 +592,10 @@ BenchPoint::startMeasuring()
     if (config_.attachChecker)
         device_.setChecker(&checker_);
     device_.invalidateTagCache();
-    device_.stats().reset();
-    engine_->stats().reset();
+    device_.resetStats();
+    engine_->resetStats();
     if (auto *fasp = dynamic_cast<core::FaspEngine *>(engine_))
-        fasp->pcas().stats().reset();
+        fasp->pcas().resetStats();
     counters0_ = EngineCounters::of(*engine_);
     window_.start();
 }
@@ -764,7 +759,9 @@ runSqlBench(const SqlBenchConfig &config)
             break;
         }
 
-        std::uint64_t model_before = device.stats().modelNs;
+        // The statement runs on this thread, whose ledger is billed
+        // every modelled ns the device counts.
+        std::uint64_t model_before = pm::threadModelNs();
         auto op_start = std::chrono::steady_clock::now();
         auto rs = database.exec(sql);
         auto op_end = std::chrono::steady_clock::now();
@@ -774,7 +771,7 @@ runSqlBench(const SqlBenchConfig &config)
         double ns =
             std::chrono::duration<double, std::nano>(op_end - op_start)
                 .count() +
-            static_cast<double>(device.stats().modelNs - model_before);
+            static_cast<double>(pm::threadModelNs() - model_before);
         if (op_hist)
             op_hist->record(static_cast<std::uint64_t>(ns));
 

@@ -28,7 +28,7 @@ BufferedEngine::BufferedEngine(pm::PmDevice &device,
 std::unique_ptr<Transaction>
 BufferedEngine::begin()
 {
-    stats_.txBegun++;
+    stats_.add(kTxBegun);
     return std::make_unique<BufferedTransaction>(*this, nextTxId());
 }
 
@@ -184,7 +184,7 @@ BufferedTransaction::rollback()
         fr->append(obs::FlightEventType::Abort,
                    engine_.recorderEngineCode(), id_, 0, 0);
     }
-    engine_.stats_.txRolledBack++;
+    engine_.stats_.add(BufferedEngine::kTxRolledBack);
     obs::spanEnd(/*committed=*/false, nullptr);
     // fasp-analyze: allow(bare-mutex-lock) -- early release of the RAII
     // transaction lock; the unique_lock destructor stays the backstop.
@@ -230,8 +230,8 @@ BufferedTransaction::commit()
         fr->append(obs::FlightEventType::CommitPoint,
                    engine_.recorderEngineCode(), id_, 0, path_code);
     }
-    engine_.stats_.txCommitted++;
-    engine_.stats_.logCommits++;
+    engine_.stats_.add(BufferedEngine::kTxCommitted);
+    engine_.stats_.add(BufferedEngine::kLogCommits);
     obs::spanEnd(/*committed=*/true, dirty.empty() ? "read-only"
                                                    : "logged");
     // fasp-analyze: allow(bare-mutex-lock) -- early release of the RAII

@@ -23,6 +23,18 @@ engineKindName(EngineKind kind)
     return "?";
 }
 
+const EngineStats
+Engine::stats() const
+{
+    const auto n = stats_.sum();
+    return {.txBegun = n[kTxBegun],
+            .txCommitted = n[kTxCommitted],
+            .txRolledBack = n[kTxRolledBack],
+            .inPlaceCommits = n[kInPlaceCommits],
+            .logCommits = n[kLogCommits],
+            .pcasFallbacks = n[kPcasFallbacks]};
+}
+
 Result<std::unique_ptr<Engine>>
 Engine::create(pm::PmDevice &device, const EngineConfig &cfg,
                bool format)

@@ -1,5 +1,5 @@
-// fasp-analyze: allow-file(raw-std-sync) -- EngineStats monotonic counters
-// and the tx-id allocator; nothing here blocks or guards shared state.
+// fasp-analyze: allow-file(raw-std-sync) -- the tx-id allocator; nothing
+// here blocks or guards shared state.
 /**
  * @file
  * Engine: the top-level storage-engine interface uniting the paper's
@@ -39,6 +39,7 @@
 #include "obs/flight_recorder.h"
 #include "pager/pager.h"
 #include "pm/pcas.h"
+#include "pm/thread_counters.h"
 #include "wal/recovery_stats.h"
 
 namespace fasp::pm {
@@ -85,42 +86,17 @@ struct EngineConfig
     pager::Pager::FormatParams format;
 };
 
-/** Per-engine operation counters. Relaxed atomics so concurrent
- *  transactions update them tear-free; copies snapshot per field. */
+/** Per-engine operation counters. A snapshot, by value: the engine
+ *  counts in a per-thread ThreadCounters block (pm/thread_counters.h)
+ *  and Engine::stats() adds its cells up. */
 struct EngineStats
 {
-    std::atomic<std::uint64_t> txBegun{0};
-    std::atomic<std::uint64_t> txCommitted{0};
-    std::atomic<std::uint64_t> txRolledBack{0};
-    std::atomic<std::uint64_t> inPlaceCommits{0}; //!< FAST fast path
-    std::atomic<std::uint64_t> logCommits{0};     //!< slot-header-log
-                                                  //!< commits
-    std::atomic<std::uint64_t> pcasFallbacks{0};  //!< FAST PCAS gave up
-
-    EngineStats() = default;
-    EngineStats(const EngineStats &other) { copyFrom(other); }
-
-    EngineStats &operator=(const EngineStats &other)
-    {
-        copyFrom(other);
-        return *this;
-    }
-
-    void reset() { *this = EngineStats{}; }
-
-  private:
-    void copyFrom(const EngineStats &other)
-    {
-        txBegun = other.txBegun.load(std::memory_order_relaxed);
-        txCommitted = other.txCommitted.load(std::memory_order_relaxed);
-        txRolledBack =
-            other.txRolledBack.load(std::memory_order_relaxed);
-        inPlaceCommits =
-            other.inPlaceCommits.load(std::memory_order_relaxed);
-        logCommits = other.logCommits.load(std::memory_order_relaxed);
-        pcasFallbacks =
-            other.pcasFallbacks.load(std::memory_order_relaxed);
-    }
+    pm::StatCount txBegun;
+    pm::StatCount txCommitted;
+    pm::StatCount txRolledBack;
+    pm::StatCount inPlaceCommits; //!< FAST fast path
+    pm::StatCount logCommits;     //!< slot-header-log commits
+    pm::StatCount pcasFallbacks;  //!< FAST PCAS gave up
 };
 
 /**
@@ -173,8 +149,8 @@ class Transaction
  * latch → log-mutex ordering, and where the static analysis hands off
  * to TSan — is catalogued in DESIGN.md §10; the concrete annotations
  * live on the derived engines (common/thread_annotations.h). The base
- * class itself needs no capability: its mutable state (stats_,
- * txCounter_) is all relaxed atomics.
+ * class itself needs no capability: its mutable state is stats_, one
+ * cell per thread, and the relaxed atomic txCounter_.
  */
 class Engine
 {
@@ -229,8 +205,11 @@ class Engine
     const pager::Superblock &superblock() const { return sb_; }
     pm::PmDevice &device() { return device_; }
 
-    EngineStats &stats() { return stats_; }
-    const EngineStats &stats() const { return stats_; }
+    /** Every thread's counts added up. */
+    const EngineStats stats() const;
+
+    /** Zero the counters. Quiescent only (benchmark phase starts). */
+    void resetStats() { stats_.reset(); }
 
     /** The persistent flight recorder, or nullptr when the image has
      *  no recorder region or FlightRecorder::enabled() was off at
@@ -274,10 +253,21 @@ class Engine
         return static_cast<std::uint8_t>(config_.kind) + 1;
     }
 
+    /** EngineStats fields, counted per thread. */
+    enum Stat : std::size_t {
+        kTxBegun,
+        kTxCommitted,
+        kTxRolledBack,
+        kInPlaceCommits,
+        kLogCommits,
+        kPcasFallbacks,
+        kNumStats,
+    };
+
     pm::PmDevice &device_;
     EngineConfig config_;
     pager::Superblock sb_;
-    EngineStats stats_;
+    pm::ThreadCounters<kNumStats> stats_;
     std::atomic<TxId> txCounter_{0};
     std::unique_ptr<obs::FlightRecorder> flightRecorder_;
 };

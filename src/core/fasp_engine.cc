@@ -113,7 +113,7 @@ FaspEngine::sweepHeaderTags()
 std::unique_ptr<Transaction>
 FaspEngine::begin()
 {
-    stats_.txBegun++;
+    stats_.add(kTxBegun);
     return std::make_unique<FaspTransaction>(*this, nextTxId());
 }
 
@@ -334,7 +334,7 @@ FaspTransaction::rollback()
                    engine_.recorderEngineCode(), id_, 0, 0);
     }
     releaseLatches();
-    engine_.stats_.txRolledBack++;
+    engine_.stats_.add(FaspEngine::kTxRolledBack);
     obs::spanEnd(/*committed=*/false, nullptr);
 }
 
@@ -358,7 +358,7 @@ FaspTransaction::commitInPlace(PageState &st)
         PhaseScope phase(Component::CommitMisc);
         applyReclaims();
     }
-    engine_.stats_.inPlaceCommits++;
+    engine_.stats_.add(FaspEngine::kInPlaceCommits);
     return Status::ok();
 }
 
@@ -375,7 +375,7 @@ FaspTransaction::commitInPlacePcas(PageState &st)
     pm::PcasResult result = engine_.pcas_.cas(
         st.io->pageOff(), st.io->durableWord0(), st.io->publishedWord0());
     if (result != pm::PcasResult::Ok) {
-        engine_.stats_.pcasFallbacks++;
+        engine_.stats_.add(FaspEngine::kPcasFallbacks);
         return Status(StatusCode::TxConflict,
                       result == pm::PcasResult::Exhausted
                           ? "pcas retries exhausted"
@@ -450,7 +450,7 @@ FaspTransaction::commitLogged()
                 engine_.allocator_.free(pid);
         }
     }
-    engine_.stats_.logCommits++;
+    engine_.stats_.add(FaspEngine::kLogCommits);
     engine_.device_.txEnd(/*committed=*/true);
     return Status::ok();
 }
@@ -519,7 +519,7 @@ FaspTransaction::commit()
         fr->append(obs::FlightEventType::CommitPoint,
                    engine_.recorderEngineCode(), id_, 0, path_code);
     }
-    engine_.stats_.txCommitted++;
+    engine_.stats_.add(FaspEngine::kTxCommitted);
     releaseLatches();
     obs::spanEnd(/*committed=*/true, commit_path);
     return Status::ok();

@@ -156,11 +156,10 @@ LatchTable::tryAcquireShared(std::size_t slot)
         ok = slots_[slot].tryAcquireShared();
     }
     if (ok) {
-        counters_.sharedAcquires.fetch_add(1,
-                                           std::memory_order_relaxed);
+        counters_.add(kSharedAcquires);
         return true;
     }
-    counters_.conflicts.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kConflicts);
     return false;
 }
 
@@ -178,11 +177,10 @@ LatchTable::tryAcquireExclusive(std::size_t slot)
         ok = slots_[slot].tryAcquireExclusive();
     }
     if (ok) {
-        counters_.exclusiveAcquires.fetch_add(
-            1, std::memory_order_relaxed);
+        counters_.add(kExclusiveAcquires);
         return true;
     }
-    counters_.conflicts.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kConflicts);
     return false;
 }
 
@@ -201,10 +199,10 @@ LatchTable::tryUpgrade(std::size_t slot)
         ok = slots_[slot].tryUpgrade();
     }
     if (ok) {
-        counters_.upgrades.fetch_add(1, std::memory_order_relaxed);
+        counters_.add(kUpgrades);
         return true;
     }
-    counters_.conflicts.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kConflicts);
     return false;
 }
 
@@ -223,14 +221,11 @@ LatchTable::releaseExclusive(std::size_t slot)
 LatchStats
 LatchTable::statsSnapshot() const
 {
-    LatchStats out;
-    out.sharedAcquires =
-        counters_.sharedAcquires.load(std::memory_order_relaxed);
-    out.exclusiveAcquires =
-        counters_.exclusiveAcquires.load(std::memory_order_relaxed);
-    out.upgrades = counters_.upgrades.load(std::memory_order_relaxed);
-    out.conflicts = counters_.conflicts.load(std::memory_order_relaxed);
-    return out;
+    const auto n = counters_.sum();
+    return {.sharedAcquires = n[kSharedAcquires],
+            .exclusiveAcquires = n[kExclusiveAcquires],
+            .upgrades = n[kUpgrades],
+            .conflicts = n[kConflicts]};
 }
 
 } // namespace fasp

@@ -1,5 +1,5 @@
 // fasp-analyze: allow-file(raw-std-sync) -- PageLatch IS the intercepted
-// wrapper; its state word and stats counters are the implementation.
+// wrapper; its state word is the implementation.
 /**
  * @file
  * PageLatch + LatchTable: striped per-page reader/writer latches for
@@ -47,6 +47,7 @@
 
 #include "common/thread_annotations.h"
 #include "common/types.h"
+#include "pm/thread_counters.h"
 
 namespace fasp {
 
@@ -182,7 +183,9 @@ class SCOPED_CAPABILITY ExclusivePageLatchGuard
     PageLatch &latch_;
 };
 
-/** Aggregate latch-traffic counters (relaxed; read after joining). */
+/** Aggregate latch-traffic counters: a snapshot, by value, of the
+ *  table's per-thread counter block (exact once the clients are
+ *  joined). */
 struct LatchStats
 {
     std::uint64_t sharedAcquires = 0;
@@ -236,14 +239,16 @@ class LatchTable
     std::unique_ptr<PageLatch[]> slots_;
     std::size_t mask_;
 
-    struct alignas(64) Counters
-    {
-        std::atomic<std::uint64_t> sharedAcquires{0};
-        std::atomic<std::uint64_t> exclusiveAcquires{0};
-        std::atomic<std::uint64_t> upgrades{0};
-        std::atomic<std::uint64_t> conflicts{0};
+    /** LatchStats fields, counted per thread (pm/thread_counters.h),
+     *  so latch traffic adds no shared write beyond the latch word. */
+    enum Stat : std::size_t {
+        kSharedAcquires,
+        kExclusiveAcquires,
+        kUpgrades,
+        kConflicts,
+        kNumStats,
     };
-    mutable Counters counters_;
+    pm::ThreadCounters<kNumStats> counters_;
 };
 
 } // namespace fasp

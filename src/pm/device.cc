@@ -57,9 +57,15 @@ PmDevice::checkAlive() const
 std::uint64_t
 PmDevice::raiseEvent(PmEvent event)
 {
+    // Only an attached injector, dropper or checker reads the index.
+    // Without one, skip the shared RMW: the counter stands still, so a
+    // base read before attaching one stays valid (see eventCount()).
+    CrashInjector *injector = injector_.load(std::memory_order_acquire);
+    if (!injector && !checker() &&
+        !flushDropper_.load(std::memory_order_acquire))
+        return 0;
     std::uint64_t index =
         eventCount_.fetch_add(1, std::memory_order_acq_rel);
-    CrashInjector *injector = injector_.load(std::memory_order_acquire);
     if (injector && injector->shouldCrash(event, index)) {
         crash();
         throw CrashException(index);
@@ -93,8 +99,8 @@ PmDevice::writeImpl(PmOffset off, const void *src, std::size_t len,
     // detail, not scheduling points.
     mc::HookDepthGuard hook_depth;
     std::uint64_t index = raiseEvent(PmEvent::Store);
-    stats_.stores.fetch_add(1, std::memory_order_relaxed);
-    stats_.storeBytes.fetch_add(len, std::memory_order_relaxed);
+    stats_.add(kStores);
+    stats_.add(kStoreBytes, len);
 
     const auto *bytes = static_cast<const std::uint8_t *>(src);
     if (config_.mode == PmMode::Direct) {
@@ -191,16 +197,16 @@ PmDevice::casU64(PmOffset off, std::uint64_t &expected,
     }
 
     if (ok) {
-        stats_.stores.fetch_add(1, std::memory_order_relaxed);
-        stats_.storeBytes.fetch_add(8, std::memory_order_relaxed);
+        stats_.add(kStores);
+        stats_.add(kStoreBytes, 8);
         tags_[(cacheLineBase(off) / kCacheLineSize) & tagMask_].store(
             cacheLineBase(off) + 1, std::memory_order_relaxed);
         if (PersistencyChecker *chk = checker())
             chk->onCasStore(off, index, threadSite());
         billStore(8);
     } else {
-        stats_.loads.fetch_add(1, std::memory_order_relaxed);
-        stats_.loadBytes.fetch_add(8, std::memory_order_relaxed);
+        stats_.add(kLoads);
+        stats_.add(kLoadBytes, 8);
     }
     return ok;
 }
@@ -212,8 +218,8 @@ PmDevice::loadU64Atomic(PmOffset off)
     checkRange(off, 8);
     FASP_ASSERT(off % 8 == 0);
     mc::HookDepthGuard hook_depth;
-    stats_.loads.fetch_add(1, std::memory_order_relaxed);
-    stats_.loadBytes.fetch_add(8, std::memory_order_relaxed);
+    stats_.add(kLoads);
+    stats_.add(kLoadBytes, 8);
     chargeReadLatency(off, 8);
 
     if (config_.mode == PmMode::Direct) {
@@ -244,8 +250,8 @@ PmDevice::read(PmOffset off, void *dst, std::size_t len)
     // must either hold a latch, which is a point, or mark the gap with
     // mc::yieldPoint()), but the shard locks below must stay invisible.
     mc::HookDepthGuard hook_depth;
-    stats_.loads.fetch_add(1, std::memory_order_relaxed);
-    stats_.loadBytes.fetch_add(len, std::memory_order_relaxed);
+    stats_.add(kLoads);
+    stats_.add(kLoadBytes, len);
     chargeReadLatency(off, len);
     // V6: a plain read must not consume a PCAS dirty-tagged word (one
     // relaxed load inside onRead when no word is tagged).
@@ -279,6 +285,20 @@ PmDevice::read(PmOffset off, void *dst, std::size_t len)
     }
 }
 
+const PmStats
+PmDevice::stats() const
+{
+    const auto n = stats_.sum();
+    return {.stores = n[kStores],
+            .storeBytes = n[kStoreBytes],
+            .loads = n[kLoads],
+            .loadBytes = n[kLoadBytes],
+            .clflushes = n[kClflushes],
+            .fences = n[kFences],
+            .readMisses = n[kReadMisses],
+            .modelNs = n[kModelNs]};
+}
+
 void
 PmDevice::readDurable(PmOffset off, void *dst, std::size_t len) const
 {
@@ -310,8 +330,8 @@ PmDevice::chargeReadLatency(PmOffset off, std::size_t len)
         std::size_t idx = (base / kCacheLineSize) & tagMask_;
         if (tags_[idx].load(std::memory_order_relaxed) != base + 1) {
             tags_[idx].store(base + 1, std::memory_order_relaxed);
-            stats_.readMisses.fetch_add(1, std::memory_order_relaxed);
-            stats_.modelNs.fetch_add(penalty, std::memory_order_relaxed);
+            stats_.add(kReadMisses);
+            stats_.add(kModelNs, penalty);
             billReadMiss(penalty);
         }
     }
@@ -355,9 +375,8 @@ PmDevice::clflush(PmOffset off)
             0, std::memory_order_relaxed);
     }
 
-    stats_.clflushes.fetch_add(1, std::memory_order_relaxed);
-    stats_.modelNs.fetch_add(config_.latency.pmWriteNs,
-                             std::memory_order_relaxed);
+    stats_.add(kClflushes);
+    stats_.add(kModelNs, config_.latency.pmWriteNs);
     billFlush(config_.latency.pmWriteNs);
     if (PersistencyChecker *chk = checker())
         chk->onFlush(base, index, threadSite());
@@ -384,9 +403,8 @@ PmDevice::sfence()
         h->atPoint(mc::HookOp::PmFence, durable_.data(), 1);
     mc::HookDepthGuard hook_depth;
     std::uint64_t index = raiseEvent(PmEvent::Fence);
-    stats_.fences.fetch_add(1, std::memory_order_relaxed);
-    stats_.modelNs.fetch_add(config_.latency.fenceNs,
-                             std::memory_order_relaxed);
+    stats_.add(kFences);
+    stats_.add(kModelNs, config_.latency.fenceNs);
     billFence(config_.latency.fenceNs);
     if (PersistencyChecker *chk = checker())
         chk->onFence(index, threadSite());

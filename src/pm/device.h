@@ -18,20 +18,24 @@
  * is what makes both the latency accounting and the crash simulation
  * sound.
  *
- * Every store, flush, fence, read miss and modelled-latency charge is
- * counted in the device's PmStats and billed once to the calling
- * thread's PM ledger (pm/phase.h), under its innermost PhaseScope
- * Component and its SiteScope tag.
+ * Every store, load, flush, fence, read miss and modelled-latency
+ * charge is counted in the device's PmStats, kept per thread in a
+ * ThreadCounters block (pm/thread_counters.h), and each store, flush,
+ * fence and read miss is also billed once to the calling thread's PM
+ * ledger (pm/phase.h), under its innermost PhaseScope Component and its
+ * SiteScope tag.
  *
  * Thread safety: the data path (write/read/clflush/sfence and the
  * counters they maintain) is safe to drive from many threads at once —
- * counters are relaxed atomics, the simulated dirty-line cache is
- * sharded under per-shard mutexes, and the site tag and the ledger are
- * per-thread. *Logical* exclusion over the bytes themselves (no two
- * threads mutating one page) is the engines' job, via the pager's
- * per-page latch table; the device deliberately does not serialize
- * byte access, so a latch-protocol bug shows up as a real data race
- * under ThreadSanitizer instead of being masked here.
+ * each thread counts in its own cache line, the simulated dirty-line
+ * cache is sharded under per-shard mutexes, and the site tag and the
+ * ledger are per-thread. Beyond the bytes it stores, a Direct-mode
+ * access writes only the shared tag cache (and, while an observer is
+ * attached, ticks the event index). *Logical* exclusion over the bytes
+ * themselves (no two threads mutating one page) is the engines' job,
+ * via the pager's per-page latch table; the device deliberately does
+ * not serialize byte access, so a latch-protocol bug shows up as a real
+ * data race under ThreadSanitizer instead of being masked here.
  * Crash simulation (crash/reviveAfterCrash/setCrashInjector) and
  * configuration (setChecker) are quiescent-state operations:
  * call them only while no other thread is accessing the device.
@@ -56,6 +60,7 @@
 #include "pm/latency.h"
 #include "pm/phase.h"
 #include "pm/stats.h"
+#include "pm/thread_counters.h"
 
 namespace fasp {
 class Rng;
@@ -353,7 +358,14 @@ class PmDevice
         flushDropper_.store(dropper, std::memory_order_release);
     }
 
-    /** Global persistence-event counter (stores+flushes+fences). */
+    /**
+     * Device-wide persistence-event index (stores, CASes, flushes and
+     * fences). It ticks only while a crash injector, flush dropper or
+     * checker is attached, the only readers of the index; with none
+     * attached the counter stands still, so events are counted from a
+     * base read before attaching one (`eventCount() + k`), never from
+     * construction.
+     */
     std::uint64_t eventCount() const
     {
         return eventCount_.load(std::memory_order_acquire);
@@ -361,8 +373,11 @@ class PmDevice
 
     // --- Accounting ----------------------------------------------------
 
-    PmStats &stats() { return stats_; }
-    const PmStats &stats() const { return stats_; }
+    /** Every thread's counts added up (see PmStats). */
+    const PmStats stats() const;
+
+    /** Zero the counters. Quiescent only (benchmark phase starts). */
+    void resetStats() { stats_.reset(); }
 
     /** Forget which lines the simulated CPU cache holds, so the next
      *  read of every line is a miss (used between benchmark phases). */
@@ -440,7 +455,20 @@ class PmDevice
     std::vector<std::atomic<PmOffset>> tags_;
     std::size_t tagMask_;
 
-    PmStats stats_;
+    /** PmStats fields, counted per thread. */
+    enum Stat : std::size_t {
+        kStores,
+        kStoreBytes,
+        kLoads,
+        kLoadBytes,
+        kClflushes,
+        kFences,
+        kReadMisses,
+        kModelNs,
+        kNumStats,
+    };
+    ThreadCounters<kNumStats> stats_;
+
     std::atomic<CrashInjector *> injector_{nullptr};
     std::atomic<FlushDropper *> flushDropper_{nullptr};
     std::atomic<PersistencyChecker *> checker_{nullptr};

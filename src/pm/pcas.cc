@@ -19,6 +19,19 @@ Pcas::setConfig(const PcasConfig &config)
     rng_ = Rng(config.seed);
 }
 
+const PcasStats
+Pcas::stats() const
+{
+    const auto n = stats_.sum();
+    return {.casAttempts = n[kCasAttempts],
+            .casCommits = n[kCasCommits],
+            .casInjected = n[kCasInjected],
+            .casConflicts = n[kCasConflicts],
+            .casExhausted = n[kCasExhausted],
+            .helps = n[kHelps],
+            .mwcasAttempts = 0};
+}
+
 bool
 Pcas::rollInjectedFail()
 {
@@ -36,7 +49,7 @@ Pcas::helpClear(PmOffset off, std::uint64_t tagged)
     device_.clflush(off & ~PmOffset{kCacheLineSize - 1});
     device_.sfence();
     clearTag(off, tagged);
-    stats_.helps.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(kHelps);
     billPcasHelp();
     return pcasStrip(tagged);
 }
@@ -65,10 +78,10 @@ Pcas::cas(PmOffset off, std::uint64_t oldVal, std::uint64_t newVal)
 
     for (unsigned attempt = 0; attempt < config_.maxRetries;
          ++attempt) {
-        stats_.casAttempts.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(kCasAttempts);
         billPcasAttempt(attempt > 0);
         if (rollInjectedFail()) {
-            stats_.casInjected.fetch_add(1, std::memory_order_relaxed);
+            stats_.add(kCasInjected);
             continue;
         }
 
@@ -86,7 +99,7 @@ Pcas::cas(PmOffset off, std::uint64_t oldVal, std::uint64_t newVal)
             // tagged word must be durable before its tag clears.
             device_.sfence();
             clearTag(off, newVal | kPcasDirtyBit);
-            stats_.casCommits.fetch_add(1, std::memory_order_relaxed);
+            stats_.add(kCasCommits);
             return PcasResult::Ok;
         }
 
@@ -97,10 +110,10 @@ Pcas::cas(PmOffset off, std::uint64_t oldVal, std::uint64_t newVal)
             helpClear(off, expected);
             continue;
         }
-        stats_.casConflicts.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(kCasConflicts);
         return PcasResult::Conflict;
     }
-    stats_.casExhausted.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(kCasExhausted);
     return PcasResult::Exhausted;
 }
 

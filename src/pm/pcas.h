@@ -39,12 +39,12 @@
 #ifndef FASP_PM_PCAS_H
 #define FASP_PM_PCAS_H
 
-#include <atomic>
 #include <cstdint>
 
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
+#include "pm/thread_counters.h"
 
 namespace fasp::pm {
 
@@ -86,51 +86,23 @@ struct PcasConfig
 };
 
 /**
- * Counters describing PCAS behaviour (ablation Table C). Relaxed
- * atomics: concurrent clients of one engine update them tear-free;
- * copies snapshot field-by-field.
+ * Counters describing PCAS behaviour (ablation Table C). A snapshot, by
+ * value: Pcas counts in a per-thread ThreadCounters block and stats()
+ * adds its cells up.
  */
 struct PcasStats
 {
-    std::atomic<std::uint64_t> casAttempts{0};  //!< publish CAS tries
-    std::atomic<std::uint64_t> casCommits{0};   //!< cas() returning Ok
-    std::atomic<std::uint64_t> casInjected{0};  //!< injected failures
-    std::atomic<std::uint64_t> casConflicts{0}; //!< lost to a real
-                                                //!< concurrent write
-    std::atomic<std::uint64_t> casExhausted{0}; //!< retry budget spent
-    std::atomic<std::uint64_t> helps{0};        //!< foreign tags
-                                                //!< flushed + cleared
+    StatCount casAttempts;  //!< publish CAS tries
+    StatCount casCommits;   //!< cas() returning Ok
+    StatCount casInjected;  //!< injected failures
+    StatCount casConflicts; //!< lost to a real concurrent write
+    StatCount casExhausted; //!< retry budget spent
+    StatCount helps;        //!< foreign tags flushed + cleared
 
     /** Always 0: every commit publishes one word through cas(). Kept
      *  only because perfbench's workloads still read it; remove with
      *  the next benchmark change. */
-    std::atomic<std::uint64_t> mwcasAttempts{0};
-
-    PcasStats() = default;
-    PcasStats(const PcasStats &other) { copyFrom(other); }
-
-    PcasStats &operator=(const PcasStats &other)
-    {
-        copyFrom(other);
-        return *this;
-    }
-
-    void reset() { *this = PcasStats{}; }
-
-  private:
-    void copyFrom(const PcasStats &other)
-    {
-        casAttempts = other.casAttempts.load(std::memory_order_relaxed);
-        casCommits = other.casCommits.load(std::memory_order_relaxed);
-        casInjected = other.casInjected.load(std::memory_order_relaxed);
-        casConflicts =
-            other.casConflicts.load(std::memory_order_relaxed);
-        casExhausted =
-            other.casExhausted.load(std::memory_order_relaxed);
-        helps = other.helps.load(std::memory_order_relaxed);
-        mwcasAttempts =
-            other.mwcasAttempts.load(std::memory_order_relaxed);
-    }
+    StatCount mwcasAttempts;
 };
 
 /** Outcome of one cas() call. */
@@ -161,8 +133,11 @@ class Pcas
      */
     std::uint64_t read(PmOffset off);
 
-    PcasStats &stats() { return stats_; }
-    const PcasStats &stats() const { return stats_; }
+    /** Every thread's counts added up. */
+    const PcasStats stats() const;
+
+    /** Zero the counters. Quiescent only (benchmark phase starts). */
+    void resetStats() { stats_.reset(); }
 
     const PcasConfig &config() const { return config_; }
 
@@ -183,7 +158,19 @@ class Pcas
     Mutex rngMu_;
     Rng rng_ GUARDED_BY(rngMu_); //!< failure-injection RNG, shared by
                                  //!< every concurrent caller
-    PcasStats stats_;
+
+    /** PcasStats fields but the always-zero mwcasAttempts, counted per
+     *  thread. */
+    enum Stat : std::size_t {
+        kCasAttempts,
+        kCasCommits,
+        kCasInjected,
+        kCasConflicts,
+        kCasExhausted,
+        kHelps,
+        kNumStats,
+    };
+    ThreadCounters<kNumStats> stats_;
 };
 
 } // namespace fasp::pm

@@ -8,10 +8,17 @@
 #include "common/logging.h"
 #include "common/sched_hook.h"
 #include "common/thread_annotations.h"
+#include "pm/thread_counters.h"
 
 namespace fasp::pm {
 
+namespace detail {
+constinit thread_local std::size_t t_threadSlot = kNoSlot;
+} // namespace detail
+
 namespace {
+
+using detail::t_threadSlot;
 
 /** Site billed when a PM event fires outside any SiteScope. */
 constexpr const char *kUntaggedSite = "(untagged)";
@@ -50,22 +57,10 @@ constexpr std::uint64_t PmCell::*kCellFields[] = {
     &PmCell::readMisses, &PmCell::scopes,
 };
 
-/** A ledger's cells have one writer, their thread, and are read by
- *  windows on any thread: relaxed atomic accesses, and the writer's
- *  increment is a plain load and store, never an RMW. */
-std::uint64_t
-loadCell(std::uint64_t &field)
-{
-    return std::atomic_ref<std::uint64_t>(field).load(
-        std::memory_order_relaxed);
-}
-
-void
-bump(std::uint64_t &field, std::uint64_t n = 1)
-{
-    std::atomic_ref<std::uint64_t>(field).store(loadCell(field) + n,
-                                                std::memory_order_relaxed);
-}
+// A ledger's cells have one writer, their thread, and are read by
+// windows on any thread: the same accesses as a ThreadCounters cell.
+using detail::bump;
+using detail::loadCell;
 
 void
 addLive(PmCell &live, PmCell &out)
@@ -102,13 +97,15 @@ struct ThreadLedger
     }
 };
 
-/** Live ledgers plus the folded totals of exited threads. Leaked, so
- *  threads that outlive static destruction can still retire. */
+/** Live ledgers plus the folded totals of exited threads, and which
+ *  ThreadCounters slots live threads hold. Leaked, so threads that
+ *  outlive static destruction can still retire. */
 struct Registry
 {
     Mutex mu;
     std::vector<ThreadLedger *> live GUARDED_BY(mu);
     LedgerCells retired GUARDED_BY(mu);
+    std::array<bool, kThreadSlots> slotTaken GUARDED_BY(mu){};
 };
 
 Registry &
@@ -121,7 +118,9 @@ registry()
 constinit thread_local ThreadLedger *t_ledger = nullptr;
 constinit thread_local const char *t_site = nullptr;
 
-/** Folds the thread's ledger into the retired totals at thread exit. */
+/** Folds the thread's ledger into the retired totals at thread exit
+ *  and frees its slot. The registry mutex orders the slot's handover:
+ *  the next thread to take it sees every count this one left. */
 struct Retirer
 {
     ~Retirer()
@@ -135,7 +134,12 @@ struct Retirer
             MutexLock lk(&reg.mu);
             ledger->addTo(reg.retired);
             std::erase(reg.live, ledger);
+            if (t_threadSlot < kThreadSlots)
+                reg.slotTaken[t_threadSlot] = false;
         }
+        // Counts from a later thread_local destructor go to the
+        // overflow cell.
+        t_threadSlot = kThreadSlots;
         delete ledger;
     }
 };
@@ -149,10 +153,22 @@ registerThread()
         Registry &reg = registry();
         MutexLock lk(&reg.mu);
         reg.live.push_back(ledger);
+        // The lowest free slot, so threads that replace exited ones
+        // (perfbench's per-slice clients) reuse their slots;
+        // kThreadSlots, the overflow cell, when none is free.
+        if (t_threadSlot == detail::kNoSlot) {
+            auto free = std::find(reg.slotTaken.begin(),
+                                  reg.slotTaken.end(), false);
+            t_threadSlot =
+                static_cast<std::size_t>(free - reg.slotTaken.begin());
+            if (free != reg.slotTaken.end())
+                *free = true;
+        }
     }
     // Arms retirement on this thread's first registration. A thread
     // billing again after retiring (from a later thread_local
-    // destructor) registers a ledger that simply stays live.
+    // destructor) registers a ledger that simply stays live, and keeps
+    // counting in the overflow cell.
     thread_local Retirer retirer;
     (void)retirer;
     return ledger;
@@ -313,6 +329,13 @@ LedgerCells::operator-=(const LedgerCells &o)
 }
 
 // --- The calling thread ------------------------------------------------
+
+std::size_t
+detail::registerThreadSlot()
+{
+    ledger();
+    return t_threadSlot;
+}
 
 ThreadTotals
 threadTotals()

@@ -28,7 +28,9 @@
  * from any thread. Each
  * thread registers its ledger on its first event; at thread exit the
  * ledger is folded into a retired total and freed, so the counts of
- * exited threads stay counted in bounded memory.
+ * exited threads stay counted in bounded memory. Registration also
+ * hands the thread its ThreadCounters slot (pm/thread_counters.h),
+ * which retirement frees for the next thread to register.
  */
 
 #ifndef FASP_PM_PHASE_H

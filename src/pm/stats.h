@@ -6,8 +6,7 @@
 #ifndef FASP_PM_STATS_H
 #define FASP_PM_STATS_H
 
-#include <atomic>
-#include <cstdint>
+#include "pm/thread_counters.h"
 
 namespace fasp::pm {
 
@@ -15,61 +14,29 @@ namespace fasp::pm {
  * Monotonic counters of every operation the device performed. These feed
  * the write-amplification table and Figure 9b (clflush counts).
  *
- * The fields are relaxed atomics so concurrent clients can charge the
- * shared device without tearing; copies (taken for interval deltas and
- * end-of-run snapshots) load each field independently, so a snapshot
- * taken mid-run is per-field consistent only. Take snapshots after the
- * worker threads are joined for exact numbers.
+ * A snapshot, by value: PmDevice counts in a per-thread ThreadCounters
+ * block and stats() adds its cells up. A snapshot taken while clients
+ * run is per-field consistent only; take it after the worker threads
+ * are joined for exact numbers.
  */
 struct PmStats
 {
-    std::atomic<std::uint64_t> stores{0};     //!< store operations to PM
-    std::atomic<std::uint64_t> storeBytes{0}; //!< bytes stored to PM
-    std::atomic<std::uint64_t> loads{0};      //!< load operations from PM
-    std::atomic<std::uint64_t> loadBytes{0};  //!< bytes loaded from PM
-    std::atomic<std::uint64_t> clflushes{0};  //!< cache-line flushes issued
-    std::atomic<std::uint64_t> fences{0};     //!< memory fences issued
-    std::atomic<std::uint64_t> readMisses{0}; //!< simulated read misses
-    std::atomic<std::uint64_t> modelNs{0};    //!< modelled PM latency total
-
-    PmStats() = default;
-
-    PmStats(const PmStats &other) { copyFrom(other); }
-
-    PmStats &operator=(const PmStats &other)
-    {
-        copyFrom(other);
-        return *this;
-    }
-
-    void reset() { *this = PmStats{}; }
+    StatCount stores;     //!< store operations to PM
+    StatCount storeBytes; //!< bytes stored to PM
+    StatCount loads;      //!< load operations from PM
+    StatCount loadBytes;  //!< bytes loaded from PM
+    StatCount clflushes;  //!< cache-line flushes issued
+    StatCount fences;     //!< memory fences issued
+    StatCount readMisses; //!< simulated read misses
+    StatCount modelNs;    //!< modelled PM latency total, every thread
 
     /** Element-wise difference (for measuring an interval). */
     PmStats since(const PmStats &base) const
     {
-        PmStats d;
-        d.stores = stores - base.stores;
-        d.storeBytes = storeBytes - base.storeBytes;
-        d.loads = loads - base.loads;
-        d.loadBytes = loadBytes - base.loadBytes;
-        d.clflushes = clflushes - base.clflushes;
-        d.fences = fences - base.fences;
-        d.readMisses = readMisses - base.readMisses;
-        d.modelNs = modelNs - base.modelNs;
-        return d;
-    }
-
-  private:
-    void copyFrom(const PmStats &other)
-    {
-        stores = other.stores.load(std::memory_order_relaxed);
-        storeBytes = other.storeBytes.load(std::memory_order_relaxed);
-        loads = other.loads.load(std::memory_order_relaxed);
-        loadBytes = other.loadBytes.load(std::memory_order_relaxed);
-        clflushes = other.clflushes.load(std::memory_order_relaxed);
-        fences = other.fences.load(std::memory_order_relaxed);
-        readMisses = other.readMisses.load(std::memory_order_relaxed);
-        modelNs = other.modelNs.load(std::memory_order_relaxed);
+        return {stores - base.stores,         storeBytes - base.storeBytes,
+                loads - base.loads,           loadBytes - base.loadBytes,
+                clflushes - base.clflushes,   fences - base.fences,
+                readMisses - base.readMisses, modelNs - base.modelNs};
     }
 };
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "pm/checker.h"
 #include "pm/device.h"
 
 namespace fasp::pm {
@@ -212,13 +213,16 @@ TEST(PmDeviceStatsTest, DramSpeedChargesNoReadPenalty)
     EXPECT_EQ(dev.stats().modelNs, 0u);
 }
 
+// Event indices count from a base read before the injector is
+// attached: the counter ticks only while something observes it.
+
 TEST(PmDeviceCrashInjectTest, InjectedCrashThrowsAndDropsCache)
 {
     PmDevice dev(smallConfig(PmMode::CacheSim));
-    dev.writeU64(0, 7); // event 0
-    PointCrashInjector injector(1);
+    PointCrashInjector injector(dev.eventCount() + 1);
     dev.setCrashInjector(&injector);
-    EXPECT_THROW(dev.writeU64(64, 8), CrashException); // event 1
+    dev.writeU64(0, 7); // event base
+    EXPECT_THROW(dev.writeU64(64, 8), CrashException); // event base + 1
     EXPECT_TRUE(dev.crashed());
     dev.setCrashInjector(nullptr);
     dev.reviveAfterCrash();
@@ -228,10 +232,48 @@ TEST(PmDeviceCrashInjectTest, InjectedCrashThrowsAndDropsCache)
 TEST(PmDeviceCrashInjectTest, EventIndexCountsStoresFlushesFences)
 {
     PmDevice dev(smallConfig(PmMode::CacheSim));
+    std::uint64_t base = dev.eventCount();
+    PointCrashInjector injector(base + 3); // one past the three below
+    dev.setCrashInjector(&injector);
     dev.writeU64(0, 1);
     dev.clflush(0);
     dev.sfence();
-    EXPECT_EQ(dev.eventCount(), 3u);
+    EXPECT_EQ(dev.eventCount() - base, 3u);
+    dev.setCrashInjector(nullptr);
+}
+
+TEST(PmDeviceCrashInjectTest, EventIndexTicksOnlyWhileObserved)
+{
+    PmDevice dev(smallConfig(PmMode::CacheSim));
+    std::uint64_t base = dev.eventCount();
+    dev.writeU64(0, 1);
+    dev.clflush(0);
+    dev.sfence();
+    EXPECT_EQ(dev.eventCount(), base); // nothing attached: no tick
+
+    PersistencyChecker checker;
+    dev.setChecker(&checker);
+    dev.writeU64(64, 2);
+    dev.clflush(64);
+    dev.sfence();
+    EXPECT_EQ(dev.eventCount(), base + 3); // resumes from the base
+    dev.setChecker(nullptr);
+}
+
+TEST(PmDeviceStatsTest, ResetStatsZeroesEveryCounter)
+{
+    PmDevice dev(smallConfig(PmMode::Direct));
+    dev.writeU64(0, 1);
+    dev.clflush(0);
+    dev.sfence();
+    (void)dev.readU64(4096);
+    dev.resetStats();
+    const PmStats s = dev.stats();
+    for (std::uint64_t v : {s.stores.value, s.storeBytes.value,
+                            s.loads.value, s.loadBytes.value,
+                            s.clflushes.value, s.fences.value,
+                            s.readMisses.value, s.modelNs.value})
+        EXPECT_EQ(v, 0u);
 }
 
 TEST(PmDeviceCrashPolicyTest, TornLinesPersistWordSubsets)

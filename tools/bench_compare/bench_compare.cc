@@ -10,8 +10,10 @@
  *  - Tables are matched by exact title, columns by name, rows
  *    positionally (the two reports must come from the same bench code
  *    at the same sweep settings — a shape mismatch, such as a gated
- *    baseline column the candidate lacks, means the snapshot is stale
- *    and the verdict is "shape", not a measured regression).
+ *    baseline column the candidate lacks, or a row whose leading
+ *    string cells differ from the baseline row at its position, means
+ *    the snapshot is stale and the verdict is "shape", not a measured
+ *    regression).
  *  - A column is gated when its name carries a known direction:
  *    throughput columns (ops/sec, ktxn/s, txn/s) regress when the
  *    candidate is LOWER; cost columns (commit(us)) regress when the
@@ -134,6 +136,20 @@ rowLabel(const JsonValue &row)
     return label;
 }
 
+/** The string cells a row starts with ("A", "FAST"): what names the
+ *  point, and what must match between the two reports' rows. */
+std::vector<std::string>
+leadingStrings(const JsonValue &row)
+{
+    std::vector<std::string> out;
+    for (const JsonValue &cell : row.items) {
+        if (cell.kind != JsonValue::String)
+            break;
+        out.push_back(cell.str);
+    }
+    return out;
+}
+
 bool
 cellNumber(const JsonValue &cell, double &out)
 {
@@ -166,6 +182,23 @@ compareTable(const JsonValue &base, const JsonValue &cand,
               std::to_string(crows->items.size()) +
               " (stale snapshot? refresh with bench/snapshot.sh)";
         return false;
+    }
+    for (std::size_t r = 0; r < brows->items.size(); ++r) {
+        std::vector<std::string> blabel = leadingStrings(brows->items[r]);
+        std::vector<std::string> clabel = leadingStrings(crows->items[r]);
+        if (blabel != clabel) {
+            auto joined = [](const std::vector<std::string> &parts) {
+                std::string out;
+                for (const std::string &part : parts)
+                    out += (out.empty() ? "" : " ") + part;
+                return out;
+            };
+            err = "'" + title->str + "': row " + std::to_string(r) +
+                  " is '" + joined(blabel) + "' in the baseline but '" +
+                  joined(clabel) + "' in the candidate (stale " +
+                  "snapshot? refresh with bench/snapshot.sh)";
+            return false;
+        }
     }
 
     for (std::size_t c = 0; c < bcols->items.size(); ++c) {
