@@ -202,13 +202,14 @@ runMultiClient(const BenchArgs &args)
         counts.push_back(n);
     counts.push_back(args.clients);
 
-    // latch-p95(ns) comes from the span profiler's merged per-slot
-    // wait histogram, scoped to the point by resetLatchContention();
+    // latch-p95(ns) comes from the span profiler's latch-wait
+    // histogram, scoped to the point by resetLatchContention();
     // it reads 0 unless --metrics/--trace enabled the obs layer. The
     // column is intentionally absent from bench_compare's gate map:
     // wait times are host-share sensitive (see bench/snapshot.sh).
     // FAST runs last, so the metrics export's latch_contention section
-    // describes FAST at the full client count.
+    // and page_heat's latch fields describe FAST at the full client
+    // count.
     Table perf({"engine", "clients", "txns", "ktxn/s", "speedup",
                 "conflict-retries", "pcas-fallbacks", "latch-p95(ns)"});
     Table valid({"engine", "clients", "txns", "checker-violations"});

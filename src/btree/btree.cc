@@ -627,6 +627,12 @@ BTree::insert(TxPageIO &io, std::uint64_t key,
             io.maxLeafSlots() != 0 &&
             page::numRecords(leaf) >= io.maxLeafSlots();
         if (slot_capped) {
+            // The split writes the leaf and its parent. Take both for
+            // write first, so a conflict on either aborts before
+            // splitPage stores the fresh sibling to PM.
+            io.page(leaf_pid, /*for_write=*/true);
+            if (path.size() > 1)
+                io.page(path[path.size() - 2], /*for_write=*/true);
             FASP_RETURN_IF_ERROR(splitPage(io, leaf_pid, key));
             continue;
         }

@@ -18,7 +18,7 @@ using pm::PhaseScope;
 FaspEngine::FaspEngine(pm::PmDevice &device, const EngineConfig &cfg,
                        const pager::Superblock &sb)
     : Engine(device, cfg, sb), log_(device, sb), pcas_(device, cfg.pcas),
-      bitmapIO_(bitmap_), allocator_(bitmapIO_, sb)
+      latches_(sb.pageCount), bitmapIO_(bitmap_), allocator_(bitmapIO_, sb)
 {
     FASP_ASSERT(cfg.kind == EngineKind::Fast ||
                 cfg.kind == EngineKind::Fash);
@@ -165,24 +165,19 @@ void
 FaspTransaction::latchPage(PageId pid, bool exclusive)
 {
     LatchTable &lt = engine_.latches_;
-    std::size_t slot = lt.slotFor(pid);
-    auto it = latches_.find(slot);
+    auto it = latches_.find(pid);
     if (it == latches_.end()) {
-        bool ok = exclusive ? lt.tryAcquireExclusive(slot)
-                            : lt.tryAcquireShared(slot);
-        if (!ok) {
-            obs::spanPageConflict(pid);
+        bool ok = exclusive ? lt.tryAcquireExclusive(pid)
+                            : lt.tryAcquireShared(pid);
+        if (!ok)
             throw LatchConflict(pid);
-        }
-        latches_.emplace(slot, exclusive ? LatchMode::Exclusive
-                                         : LatchMode::Shared);
+        latches_.emplace(pid, exclusive ? LatchMode::Exclusive
+                                        : LatchMode::Shared);
     } else if (exclusive && it->second == LatchMode::Shared) {
         // Upgrade is sole-reader-only: failure means waiting could
         // deadlock against another upgrader, so conflict-abort.
-        if (!lt.tryUpgrade(slot)) {
-            obs::spanPageConflict(pid);
+        if (!lt.tryUpgrade(pid))
             throw LatchConflict(pid);
-        }
         it->second = LatchMode::Exclusive;
     }
 }
@@ -191,11 +186,11 @@ void
 FaspTransaction::releaseLatches()
 {
     LatchTable &lt = engine_.latches_;
-    for (const auto &[slot, mode] : latches_) {
+    for (const auto &[pid, mode] : latches_) {
         if (mode == LatchMode::Exclusive)
-            lt.releaseExclusive(slot);
+            lt.releaseExclusive(pid);
         else
-            lt.releaseShared(slot);
+            lt.releaseShared(pid);
     }
     latches_.clear();
 }
@@ -237,8 +232,10 @@ FaspTransaction::allocPage()
         pid = *allocated;
     }
     try {
-        // The page is ours alone, but its latch *slot* may be held by
-        // a transaction latching a colliding page.
+        // The page is ours alone, but its latch may still be held for
+        // an instant by the transaction that just returned it to the
+        // allocator: rollback() frees allocs_ and commit frees frees_
+        // before releaseLatches().
         latchPage(pid, /*exclusive=*/true);
     } catch (const LatchConflict &) {
         MutexLock lk(&engine_.allocMutex_);

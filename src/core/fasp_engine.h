@@ -20,7 +20,7 @@
  * buffer cache (the paper's PM-only buffer caching).
  *
  * Concurrency (DESIGN.md §9): transactions follow strict two-phase
- * latching over the engine's striped per-page latch table — shared on
+ * latching over the engine's per-page latch table — shared on
  * first read, upgraded or taken exclusive on first write, all held to
  * commit/rollback. Latches are acquired with a bounded spin only;
  * exhaustion throws LatchConflict, which rolls the transaction back so
@@ -92,10 +92,9 @@ class FaspTransaction : public Transaction, public btree::TxPageIO
     Status commitLogged();
     void applyReclaims();
 
-    /** Acquire (or upgrade) the latch slot covering @p pid; throws
-     *  LatchConflict when contended past the spin budget. Latches are
-     *  tracked per *slot* so same-slot collisions inside one
-     *  transaction cannot self-deadlock.
+    /** Acquire (or upgrade) the latch of @p pid; throws LatchConflict
+     *  when contended past the spin budget or when the upgrade finds
+     *  another reader.
      *
      *  The strict-2PL latch set is acquired page by page, held across
      *  calls, and released at commit/rollback — a dynamic protocol the
@@ -110,7 +109,7 @@ class FaspTransaction : public Transaction, public btree::TxPageIO
     std::unordered_map<PageId, PageState> pages_;
     std::vector<PageId> allocs_;
     std::vector<PageId> frees_;
-    std::unordered_map<std::size_t, LatchMode> latches_;
+    std::unordered_map<PageId, LatchMode> latches_;
 };
 
 /** See file comment. */

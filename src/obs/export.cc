@@ -132,7 +132,7 @@ exportJson(const std::string &benchName,
     std::string out;
     out += "{\n  \"bench\": ";
     appendJsonString(out, benchName);
-    out += ",\n  \"schema_version\": 5";
+    out += ",\n  \"schema_version\": 6";
 
     out += ",\n  \"counters\": {";
     bool first = true;
@@ -358,30 +358,10 @@ exportJson(const std::string &benchName,
     out += ", \"total_conflicts\": ";
     appendU64(out,
               spans != nullptr ? spans->totalLatchConflicts() : 0);
-    out += ", \"contended_slots\": ";
-    appendU64(out, spans != nullptr ? spans->contendedSlotCount() : 0);
-    out += ", \"slots\": [";
-    if (spans != nullptr) {
-        auto slots = spans->latchContention();
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            const LatchSlotSummary &ls = slots[i];
-            out += i == 0 ? "\n" : ",\n";
-            out += "    {\"slot\": ";
-            appendU64(out, ls.slot);
-            out += ", \"waits\": ";
-            appendU64(out, ls.waits);
-            out += ", \"conflicts\": ";
-            appendU64(out, ls.conflicts);
-            out += ", \"wait_ns\": ";
-            appendU64(out, ls.waitNs);
-            out += ", \"hist\": ";
-            appendHistJson(out, ls.hist);
-            out += "}";
-        }
-        if (!slots.empty())
-            out += "\n  ";
-    }
-    out += "]}";
+    out += ", \"hist\": ";
+    appendHistJson(out, spans != nullptr ? spans->latchWaitHist()
+                                         : HistogramSnapshot{});
+    out += "}";
 
     out += ",\n  \"page_heat\": {\"tracked\": ";
     PageHeatSnapshot heat;
@@ -404,6 +384,10 @@ exportJson(const std::string &benchName,
         appendU64(out, pe.dirty);
         out += ", \"conflicts\": ";
         appendU64(out, pe.conflicts);
+        out += ", \"latch_waits\": ";
+        appendU64(out, pe.latchWaits);
+        out += ", \"latch_wait_ns\": ";
+        appendU64(out, pe.latchWaitNs);
         out += "}";
     }
     if (!heat.top.empty())
@@ -442,8 +426,8 @@ exportJson(const std::string &benchName,
             appendU64(out, sp.latchWaitNs);
             out += ", \"latch_conflicts\": ";
             appendU64(out, sp.latchConflicts);
-            out += ", \"hot_latch_slot\": ";
-            appendU64(out, sp.hotLatchSlot);
+            out += ", \"hot_latch_page\": ";
+            appendU64(out, sp.hotLatchPage);
             out += ", \"hot_latch_wait_ns\": ";
             appendU64(out, sp.hotLatchWaitNs);
             out += ",\n     \"pcas_attempts\": ";

@@ -19,7 +19,10 @@
 
 namespace fasp::obs {
 
-/** Render everything as a JSON document (schema_version 5: drops the
+/** Render everything as a JSON document (schema_version 6: latch
+ *  contention keyed by page — `latch_contention` keeps totals and one
+ *  merged histogram, `page_heat` entries gain `latch_waits` and
+ *  `latch_wait_ns`, outliers name `hot_latch_page`; v5 dropped the
  *  trace-ring section and the outliers' trace slices; v4 added the
  *  span-profiler sections `spans`, `latch_contention`, `page_heat`,
  *  and `outliers`; v3 added the `core.pcas.*` counters; v2 added the

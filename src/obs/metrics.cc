@@ -81,24 +81,6 @@ Histogram::quantile(double q) const
 }
 
 void
-Histogram::merge(const Histogram &other)
-{
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-        std::uint64_t n = other.bucketCount(i);
-        if (n)
-            buckets_[i].fetch_add(n, std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-    std::uint64_t omax = other.max();
-    std::uint64_t prev = max_.load(std::memory_order_relaxed);
-    while (prev < omax &&
-           !max_.compare_exchange_weak(prev, omax,
-                                       std::memory_order_relaxed)) {
-    }
-}
-
-void
 Histogram::reset()
 {
     for (auto &b : buckets_)

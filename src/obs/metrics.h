@@ -142,10 +142,6 @@ class Histogram
     std::uint64_t p95() const { return quantile(0.95); }
     std::uint64_t p99() const { return quantile(0.99); }
 
-    /** Fold @p other into this histogram (racy-but-atomic reads of
-     *  @p other; see file comment). */
-    void merge(const Histogram &other);
-
     void reset();
 
     /** Bucket index that @p v lands in. */

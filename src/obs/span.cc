@@ -1,5 +1,5 @@
 // fasp-analyze: allow-file(raw-std-sync) -- lock-free span ring, latch
-// aggregates, and heat sketch; records scheduling, never participates
+// totals, and heat sketch; records scheduling, never participates
 // in it.
 #include "obs/span.h"
 
@@ -89,11 +89,11 @@ spanEnd(bool committed, const char *commitPath)
 }
 
 void
-spanLatchWait(std::size_t slot, std::uint64_t waitNs, bool conflict)
+spanLatchWait(std::uint64_t pageId, std::uint64_t waitNs, bool conflict)
 {
     if (!enabled())
         return;
-    SpanProfiler::global().recordLatchWait(slot, waitNs, conflict);
+    SpanProfiler::global().recordLatchWait(pageId, waitNs, conflict);
     ActiveSpan &s = t_span;
     if (!s.active)
         return;
@@ -103,7 +103,7 @@ spanLatchWait(std::size_t slot, std::uint64_t waitNs, bool conflict)
     s.span.latchWaitNs += waitNs;
     if (waitNs > s.span.hotLatchWaitNs) {
         s.span.hotLatchWaitNs = waitNs;
-        s.span.hotLatchSlot = static_cast<std::uint32_t>(slot);
+        s.span.hotLatchPage = pageId;
     }
 }
 
@@ -119,14 +119,6 @@ spanPageAccess(std::uint64_t pageId, bool dirty)
     ++s.span.pageAccesses;
     if (dirty)
         ++s.span.pageDirty;
-}
-
-void
-spanPageConflict(std::uint64_t pageId)
-{
-    if (!enabled())
-        return;
-    SpanProfiler::global().recordPageConflict(pageId);
 }
 
 void
@@ -150,9 +142,7 @@ spanDefrag()
 // --- SpanProfiler ------------------------------------------------------
 
 SpanProfiler::SpanProfiler()
-    : id_(g_profilerIds.fetch_add(1, std::memory_order_relaxed)),
-      latchAggs_(std::make_unique<LatchSlotAgg[]>(kSpanLatchSlots)),
-      latchHists_(std::make_unique<Histogram[]>(kSpanLatchSlots))
+    : id_(g_profilerIds.fetch_add(1, std::memory_order_relaxed))
 {
 }
 
@@ -279,17 +269,20 @@ SpanProfiler::considerOutlier(const TxSpan &span)
 }
 
 void
-SpanProfiler::recordLatchWait(std::size_t slot, std::uint64_t waitNs,
+SpanProfiler::recordLatchWait(std::uint64_t pageId, std::uint64_t waitNs,
                               bool conflict)
 {
-    if (slot >= kSpanLatchSlots)
-        slot = kSpanLatchSlots - 1;
-    LatchSlotAgg &agg = latchAggs_[slot];
-    agg.waits.fetch_add(1, std::memory_order_relaxed);
+    latchWaits_.record(waitNs);
     if (conflict)
-        agg.conflicts.fetch_add(1, std::memory_order_relaxed);
-    agg.waitNs.fetch_add(waitNs, std::memory_order_relaxed);
-    latchHists_[slot].record(waitNs);
+        latchConflicts_.fetch_add(1, std::memory_order_relaxed);
+    if (HeatCell *cell = findHeatCell(pageId)) {
+        cell->latchWaits.fetch_add(1, std::memory_order_relaxed);
+        cell->latchWaitNs.fetch_add(waitNs, std::memory_order_relaxed);
+        if (conflict)
+            cell->conflicts.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        heatOverflow_.fetch_add(1, std::memory_order_relaxed);
+    }
 }
 
 SpanProfiler::HeatCell *
@@ -332,12 +325,12 @@ SpanProfiler::maybeDecayHeat()
         std::uint64_t a =
             cell.accesses.load(std::memory_order_relaxed) >> 1;
         cell.accesses.store(a, std::memory_order_relaxed);
-        cell.dirty.store(
-            cell.dirty.load(std::memory_order_relaxed) >> 1,
-            std::memory_order_relaxed);
-        cell.conflicts.store(
-            cell.conflicts.load(std::memory_order_relaxed) >> 1,
-            std::memory_order_relaxed);
+        for (std::atomic<std::uint64_t> *c :
+             {&cell.dirty, &cell.conflicts, &cell.latchWaits,
+              &cell.latchWaitNs}) {
+            c->store(c->load(std::memory_order_relaxed) >> 1,
+                     std::memory_order_relaxed);
+        }
         if (a == 0)
             cell.key.store(0, std::memory_order_relaxed);
     }
@@ -354,15 +347,6 @@ SpanProfiler::recordPageAccess(std::uint64_t pageId, bool dirty)
         heatOverflow_.fetch_add(1, std::memory_order_relaxed);
     }
     maybeDecayHeat();
-}
-
-void
-SpanProfiler::recordPageConflict(std::uint64_t pageId)
-{
-    if (HeatCell *cell = findHeatCell(pageId))
-        cell->conflicts.fetch_add(1, std::memory_order_relaxed);
-    else
-        heatOverflow_.fetch_add(1, std::memory_order_relaxed);
 }
 
 // --- Snapshots ---------------------------------------------------------
@@ -411,86 +395,33 @@ SpanProfiler::engineSummaries() const
     return out;
 }
 
-std::vector<LatchSlotSummary>
-SpanProfiler::latchContention(std::size_t maxSlots) const
-{
-    std::vector<LatchSlotSummary> out;
-    for (std::size_t slot = 0; slot < kSpanLatchSlots; ++slot) {
-        const LatchSlotAgg &agg = latchAggs_[slot];
-        std::uint64_t waits =
-            agg.waits.load(std::memory_order_relaxed);
-        if (waits == 0)
-            continue;
-        LatchSlotSummary s;
-        s.slot = slot;
-        s.waits = waits;
-        s.conflicts = agg.conflicts.load(std::memory_order_relaxed);
-        s.waitNs = agg.waitNs.load(std::memory_order_relaxed);
-        s.hist = snapshotHistogram(latchHists_[slot]);
-        out.push_back(std::move(s));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const LatchSlotSummary &a, const LatchSlotSummary &b) {
-                  if (a.waitNs != b.waitNs)
-                      return a.waitNs > b.waitNs;
-                  return a.slot < b.slot;
-              });
-    if (out.size() > maxSlots)
-        out.resize(maxSlots);
-    return out;
-}
-
 std::uint64_t
 SpanProfiler::totalLatchWaits() const
 {
-    std::uint64_t n = 0;
-    for (std::size_t slot = 0; slot < kSpanLatchSlots; ++slot)
-        n += latchAggs_[slot].waits.load(std::memory_order_relaxed);
-    return n;
+    return latchWaits_.count();
 }
 
 std::uint64_t
 SpanProfiler::totalLatchConflicts() const
 {
-    std::uint64_t n = 0;
-    for (std::size_t slot = 0; slot < kSpanLatchSlots; ++slot) {
-        n += latchAggs_[slot].conflicts.load(
-            std::memory_order_relaxed);
-    }
-    return n;
-}
-
-std::uint64_t
-SpanProfiler::contendedSlotCount() const
-{
-    std::uint64_t n = 0;
-    for (std::size_t slot = 0; slot < kSpanLatchSlots; ++slot) {
-        if (latchAggs_[slot].waits.load(std::memory_order_relaxed) >
-            0) {
-            ++n;
-        }
-    }
-    return n;
+    return latchConflicts_.load(std::memory_order_relaxed);
 }
 
 HistogramSnapshot
 SpanProfiler::latchWaitHist() const
 {
-    Histogram merged;
-    for (std::size_t slot = 0; slot < kSpanLatchSlots; ++slot)
-        merged.merge(latchHists_[slot]);
-    return snapshotHistogram(merged);
+    return snapshotHistogram(latchWaits_);
 }
 
 void
 SpanProfiler::resetLatchContention()
 {
-    for (std::size_t slot = 0; slot < kSpanLatchSlots; ++slot) {
-        latchAggs_[slot].waits.store(0, std::memory_order_relaxed);
-        latchAggs_[slot].conflicts.store(0,
-                                         std::memory_order_relaxed);
-        latchAggs_[slot].waitNs.store(0, std::memory_order_relaxed);
-        latchHists_[slot].reset();
+    latchWaits_.reset();
+    latchConflicts_.store(0, std::memory_order_relaxed);
+    for (HeatCell &cell : heat_) {
+        for (std::atomic<std::uint64_t> *c :
+             {&cell.conflicts, &cell.latchWaits, &cell.latchWaitNs})
+            c->store(0, std::memory_order_relaxed);
     }
 }
 
@@ -507,6 +438,8 @@ SpanProfiler::pageHeat(std::size_t k) const
         e.accesses = cell.accesses.load(std::memory_order_relaxed);
         e.dirty = cell.dirty.load(std::memory_order_relaxed);
         e.conflicts = cell.conflicts.load(std::memory_order_relaxed);
+        e.latchWaits = cell.latchWaits.load(std::memory_order_relaxed);
+        e.latchWaitNs = cell.latchWaitNs.load(std::memory_order_relaxed);
         out.top.push_back(e);
     }
     out.tracked = out.top.size();
@@ -516,8 +449,18 @@ SpanProfiler::pageHeat(std::size_t k) const
                       return a.accesses > b.accesses;
                   return a.page < b.page;
               });
-    if (out.top.size() > k)
-        out.top.resize(k);
+    // Past the k hottest, keep only pages a latch wait hit, so the
+    // contention report can always name its pages.
+    if (out.top.size() > k) {
+        out.top.erase(
+            std::stable_partition(out.top.begin() +
+                                      static_cast<std::ptrdiff_t>(k),
+                                  out.top.end(),
+                                  [](const PageHeatEntry &e) {
+                                      return e.latchWaits > 0;
+                                  }),
+            out.top.end());
+    }
     out.overflow = heatOverflow_.load(std::memory_order_relaxed);
     out.decays = heatDecays_.load(std::memory_order_relaxed);
     return out;
@@ -615,18 +558,11 @@ SpanProfiler::reset()
         agg.pageAccesses.store(0, std::memory_order_relaxed);
         agg.pageDirty.store(0, std::memory_order_relaxed);
     }
-    for (std::size_t slot = 0; slot < kSpanLatchSlots; ++slot) {
-        latchAggs_[slot].waits.store(0, std::memory_order_relaxed);
-        latchAggs_[slot].conflicts.store(0,
-                                         std::memory_order_relaxed);
-        latchAggs_[slot].waitNs.store(0, std::memory_order_relaxed);
-        latchHists_[slot].reset();
-    }
+    resetLatchContention();
     for (HeatCell &cell : heat_) {
-        cell.key.store(0, std::memory_order_relaxed);
-        cell.accesses.store(0, std::memory_order_relaxed);
-        cell.dirty.store(0, std::memory_order_relaxed);
-        cell.conflicts.store(0, std::memory_order_relaxed);
+        for (std::atomic<std::uint64_t> *c :
+             {&cell.key, &cell.accesses, &cell.dirty})
+            c->store(0, std::memory_order_relaxed);
     }
     heatTicks_.store(0, std::memory_order_relaxed);
     heatOverflow_.store(0, std::memory_order_relaxed);

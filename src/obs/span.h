@@ -10,15 +10,15 @@
  * sub-phases, PCAS attempt/retry/help counts, clflush/sfence counts,
  * modelled PM ns and WAL appends — all deltas of the calling thread's
  * PM ledger (pm/phase.h) between begin and end — plus latch-acquire
- * wait per LatchTable slot and split/defrag counts. Spans land in a
- * per-thread lock-free span ring and fold into:
+ * waits (total, and the page of the longest) and split/defrag counts.
+ * Spans land in a per-thread lock-free span ring and fold into:
  *
- *  - a contention profiler: per-latch-slot wait histograms plus
- *    aggregate wait/conflict counters (which latch is hot, and how
- *    long acquirers spin on it);
+ *  - a contention profile: exact wait/conflict totals plus one merged
+ *    wait histogram (how long acquirers spin);
  *  - a page-hotness heatmap: a top-K decayed sketch of per-page
- *    access/dirty/conflict counts, O(K) memory however many pages the
- *    database grows;
+ *    access/dirty counts and latch waits/conflicts (which page is hot,
+ *    and which one acquirers fight over), O(K) memory however many
+ *    pages the database grows;
  *  - a p99 outlier capture: a small reservoir of the slowest spans per
  *    engine, each carrying its full sub-phase timeline.
  *
@@ -58,10 +58,6 @@
 
 namespace fasp::obs {
 
-/** Latch slots the contention profiler tracks; must cover
- *  LatchTable's stripe count (asserted where the hook is wired). */
-inline constexpr std::size_t kSpanLatchSlots = 1024;
-
 /** Cells in the page-hotness sketch (the K of top-K). */
 inline constexpr std::size_t kPageHeatSlots = 128;
 
@@ -97,7 +93,7 @@ struct TxSpan
     std::uint32_t latchWaits = 0;     //!< acquires that spun or failed
     std::uint32_t latchConflicts = 0; //!< acquires that failed outright
     std::uint64_t latchWaitNs = 0;    //!< total ns spent waiting
-    std::uint32_t hotLatchSlot = 0;   //!< slot of the longest wait
+    std::uint64_t hotLatchPage = 0;   //!< page of the longest wait
     std::uint64_t hotLatchWaitNs = 0; //!< that longest wait, ns
 
     std::uint32_t pcasAttempts = 0;
@@ -126,20 +122,16 @@ void spanBegin(const char *engine, std::uint8_t engineCode,
  *  thread ring, fold the aggregates, and consider outlier capture. */
 void spanEnd(bool committed, const char *commitPath);
 
-/** A latch acquire on @p slot spun (@p waitNs > 0) or failed
- *  (@p conflict). Feeds the per-slot wait histogram and, if a span is
- *  open, its latch fields. Called by LatchTable only when enabled. */
-void spanLatchWait(std::size_t slot, std::uint64_t waitNs,
+/** A latch acquire or upgrade on page @p pageId spun (@p waitNs > 0)
+ *  or failed (@p conflict). Feeds the contention totals, the merged
+ *  wait histogram, the page's heat cell and, if a span is open, its
+ *  latch fields. Called by LatchTable only when enabled. */
+void spanLatchWait(std::uint64_t pageId, std::uint64_t waitNs,
                    bool conflict);
 
 /** A page was handed to the transaction (@p dirty: for writing).
  *  Feeds the heat sketch and the open span's counters. */
 void spanPageAccess(std::uint64_t pageId, bool dirty);
-
-/** A latch conflict aborted work on @p pageId (page-level conflict
- *  attribution for the heat sketch; slot-level lives in
- *  spanLatchWait). */
-void spanPageConflict(std::uint64_t pageId);
 
 /** The open span triggered a leaf/page split (new page allocation). */
 void spanSplit();
@@ -174,31 +166,25 @@ struct EngineSpanSummary
     std::uint64_t pageDirty = 0;
 };
 
-/** Wait profile of one contended latch slot. */
-struct LatchSlotSummary
-{
-    std::size_t slot = 0;
-    std::uint64_t waits = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t waitNs = 0;
-    HistogramSnapshot hist; //!< wait-ns distribution
-};
-
 /** One page of the hotness sketch. */
 struct PageHeatEntry
 {
     std::uint64_t page = 0;
     std::uint64_t accesses = 0;
     std::uint64_t dirty = 0;
-    std::uint64_t conflicts = 0;
+    std::uint64_t conflicts = 0;   //!< failed latch acquires/upgrades
+    std::uint64_t latchWaits = 0;  //!< acquires that spun or failed
+    std::uint64_t latchWaitNs = 0; //!< ns those acquires waited
 };
 
 /** Heat-sketch snapshot: the top pages plus loss accounting. */
 struct PageHeatSnapshot
 {
-    std::vector<PageHeatEntry> top; //!< accesses desc, page asc on tie
+    /** The hottest pages (accesses desc, page asc on tie), then any
+     *  other tracked page that saw a latch wait, in the same order. */
+    std::vector<PageHeatEntry> top;
     std::uint64_t tracked = 0;      //!< live cells
-    std::uint64_t overflow = 0;     //!< accesses the full sketch missed
+    std::uint64_t overflow = 0;     //!< accesses/waits the sketch missed
     std::uint64_t decays = 0;       //!< halving passes applied
 };
 
@@ -241,41 +227,34 @@ class SpanProfiler
      *  reservoir. */
     void recordSpan(const TxSpan &span);
 
-    /** Fold one latch wait into the contention profile. */
-    void recordLatchWait(std::size_t slot, std::uint64_t waitNs,
+    /** Fold one latch wait into the contention totals, the merged
+     *  histogram and the page's heat cell. */
+    void recordLatchWait(std::uint64_t pageId, std::uint64_t waitNs,
                          bool conflict);
 
     /** Fold one page access into the heat sketch. */
     void recordPageAccess(std::uint64_t pageId, bool dirty);
-
-    /** Fold one page-level conflict into the heat sketch. */
-    void recordPageConflict(std::uint64_t pageId);
 
     // -- Snapshots (export side) --
 
     /** Engines with at least one span, in engine-code order. */
     std::vector<EngineSpanSummary> engineSummaries() const;
 
-    /** Contended slots (waits > 0), by total wait ns descending (slot
-     *  ascending on ties), at most @p maxSlots. */
-    std::vector<LatchSlotSummary>
-    latchContention(std::size_t maxSlots = 16) const;
-
     std::uint64_t totalLatchWaits() const;
     std::uint64_t totalLatchConflicts() const;
-    std::uint64_t contendedSlotCount() const;
 
-    /** Merged wait-ns distribution across every latch slot — the
-     *  per-point "latch-p95(ns)" column the bench tables print. */
+    /** Wait-ns distribution of every latch wait — the per-point
+     *  "latch-p95(ns)" column the bench tables print. */
     HistogramSnapshot latchWaitHist() const;
 
-    /** Zero the contention profile only (slot aggregates and
-     *  histograms), leaving spans / heat / outliers untouched, so a
-     *  bench can scope the latch columns to one perf point.
-     *  Quiescent-only, like reset(). */
+    /** Zero the contention profile only (totals, histogram, and the
+     *  heat cells' latch waits and conflicts), leaving spans, page
+     *  accesses and outliers untouched, so a bench can scope the latch
+     *  columns to one perf point. Quiescent-only, like reset(). */
     void resetLatchContention();
 
-    /** Top-@p k sketch entries plus loss accounting. */
+    /** Top-@p k sketch entries, plus every other tracked page with a
+     *  latch wait, and loss accounting. */
     PageHeatSnapshot pageHeat(std::size_t k = 32) const;
 
     /** Every captured outlier, engine-code order then wall ns
@@ -335,14 +314,6 @@ class SpanProfiler
         std::atomic<std::uint64_t> pageDirty{0};
     };
 
-    /** One latch slot's contention profile. */
-    struct LatchSlotAgg
-    {
-        std::atomic<std::uint64_t> waits{0};
-        std::atomic<std::uint64_t> conflicts{0};
-        std::atomic<std::uint64_t> waitNs{0};
-    };
-
     /** Open-addressed top-K decayed sketch cell. key = pageId + 1
      *  (0 = empty); claimed by CAS, counts relaxed. */
     struct HeatCell
@@ -351,6 +322,8 @@ class SpanProfiler
         std::atomic<std::uint64_t> accesses{0};
         std::atomic<std::uint64_t> dirty{0};
         std::atomic<std::uint64_t> conflicts{0};
+        std::atomic<std::uint64_t> latchWaits{0};
+        std::atomic<std::uint64_t> latchWaitNs{0};
     };
 
     /** Outlier reservoir of one engine. floor is the smallest kept
@@ -368,8 +341,8 @@ class SpanProfiler
 
     const std::uint64_t id_; //!< distinguishes profilers in memos
     std::array<EngineAgg, kSpanEngineSlots> engines_;
-    std::unique_ptr<LatchSlotAgg[]> latchAggs_;   //!< kSpanLatchSlots
-    std::unique_ptr<Histogram[]> latchHists_;     //!< kSpanLatchSlots
+    Histogram latchWaits_; //!< ns of every latch wait; count is exact
+    std::atomic<std::uint64_t> latchConflicts_{0};
     std::array<HeatCell, kPageHeatSlots> heat_;
     std::atomic<std::uint64_t> heatTicks_{0};
     std::atomic<std::uint64_t> heatOverflow_{0};

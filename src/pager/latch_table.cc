@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/logging.h"
 #include "obs/span.h"
 
 namespace fasp {
@@ -21,15 +22,6 @@ relax(int attempt)
 {
     if (attempt >= 64 && attempt % 64 == 0)
         std::this_thread::yield();
-}
-
-std::size_t
-roundUpPow2(std::size_t v)
-{
-    std::size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
 }
 
 std::uint64_t
@@ -132,16 +124,27 @@ PageLatch::tryUpgrade()
 
 // --- LatchTable --------------------------------------------------------------
 
-LatchTable::LatchTable(std::size_t stripes)
+LatchTable::LatchTable(std::size_t pages)
+    : latches_(std::make_unique<PageLatch[]>(pages)), pages_(pages)
 {
-    std::size_t n = roundUpPow2(stripes < 2 ? 2 : stripes);
-    slots_ = std::make_unique<PageLatch[]>(n);
-    mask_ = n - 1;
+}
+
+PageLatch &
+LatchTable::latch(PageId pid)
+{
+    // A corrupt child pointer must not index past the table before the
+    // device's own range check would catch it.
+    if (pid >= pages_) {
+        faspPanic("page latch out of range: pid=%u pages=%zu", pid,
+                  pages_);
+    }
+    return latches_[pid];
 }
 
 bool
-LatchTable::tryAcquireShared(std::size_t slot)
+LatchTable::tryAcquireShared(PageId pid)
 {
+    PageLatch &l = latch(pid);
     bool ok;
     if (obs::enabled()) {
         // Wait-cycles hook: time the acquire, but report it only when
@@ -149,73 +152,63 @@ LatchTable::tryAcquireShared(std::size_t slot)
         // is not a wait, and single-threaded runs stay silent.
         std::uint32_t spins = 0;
         std::uint64_t t0 = nowNs();
-        ok = slots_[slot].tryAcquireShared(&spins);
+        ok = l.tryAcquireShared(&spins);
         if (spins != 0 || !ok)
-            obs::spanLatchWait(slot, nowNs() - t0, !ok);
+            obs::spanLatchWait(pid, nowNs() - t0, !ok);
     } else {
-        ok = slots_[slot].tryAcquireShared();
+        ok = l.tryAcquireShared();
     }
-    if (ok) {
-        counters_.add(kSharedAcquires);
-        return true;
-    }
-    counters_.add(kConflicts);
-    return false;
+    counters_.add(ok ? kSharedAcquires : kConflicts);
+    return ok;
 }
 
 bool
-LatchTable::tryAcquireExclusive(std::size_t slot)
+LatchTable::tryAcquireExclusive(PageId pid)
 {
+    PageLatch &l = latch(pid);
     bool ok;
     if (obs::enabled()) {
         std::uint32_t spins = 0;
         std::uint64_t t0 = nowNs();
-        ok = slots_[slot].tryAcquireExclusive(&spins);
+        ok = l.tryAcquireExclusive(&spins);
         if (spins != 0 || !ok)
-            obs::spanLatchWait(slot, nowNs() - t0, !ok);
+            obs::spanLatchWait(pid, nowNs() - t0, !ok);
     } else {
-        ok = slots_[slot].tryAcquireExclusive();
+        ok = l.tryAcquireExclusive();
     }
-    if (ok) {
-        counters_.add(kExclusiveAcquires);
-        return true;
-    }
-    counters_.add(kConflicts);
-    return false;
+    counters_.add(ok ? kExclusiveAcquires : kConflicts);
+    return ok;
 }
 
 bool
-LatchTable::tryUpgrade(std::size_t slot)
+LatchTable::tryUpgrade(PageId pid)
 {
+    PageLatch &l = latch(pid);
     bool ok;
     if (obs::enabled()) {
         // Upgrade never spins: a failure is an immediate conflict, so
         // only the failing path reports (wait ≈ one CAS).
         std::uint64_t t0 = nowNs();
-        ok = slots_[slot].tryUpgrade();
+        ok = l.tryUpgrade();
         if (!ok)
-            obs::spanLatchWait(slot, nowNs() - t0, true);
+            obs::spanLatchWait(pid, nowNs() - t0, true);
     } else {
-        ok = slots_[slot].tryUpgrade();
+        ok = l.tryUpgrade();
     }
-    if (ok) {
-        counters_.add(kUpgrades);
-        return true;
-    }
-    counters_.add(kConflicts);
-    return false;
+    counters_.add(ok ? kUpgrades : kConflicts);
+    return ok;
 }
 
 void
-LatchTable::releaseShared(std::size_t slot)
+LatchTable::releaseShared(PageId pid)
 {
-    slots_[slot].releaseShared();
+    latch(pid).releaseShared();
 }
 
 void
-LatchTable::releaseExclusive(std::size_t slot)
+LatchTable::releaseExclusive(PageId pid)
 {
-    slots_[slot].releaseExclusive();
+    latch(pid).releaseExclusive();
 }
 
 LatchStats

@@ -2,8 +2,8 @@
 // wrapper; its state word is the implementation.
 /**
  * @file
- * PageLatch + LatchTable: striped per-page reader/writer latches for
- * the engines' concurrency control.
+ * PageLatch + LatchTable: per-page reader/writer latches for the
+ * engines' concurrency control.
  *
  * Each latch (PageLatch) is a single atomic word acting as a
  * reader/writer capability (state > 0: that many readers; state == -1:
@@ -19,19 +19,16 @@
  * construction; the cost is wasted work under heavy conflict, which
  * the engines surface as a conflict-retry counter.
  *
- * The table maps a PageId onto one of a fixed power-of-two number of
- * latches ("slots"). Striping means distinct pages may collide on one
- * latch. That is safe (strictly coarser exclusion) but callers tracking
- * their held latches must key by slot, not page, or a same-slot
- * collision inside one transaction would self-deadlock: use slotFor()
- * and the slot-based acquire/release API.
+ * The table holds one latch per page of the database, indexed by
+ * PageId, so two distinct pages never share exclusion. A page id past
+ * the table panics, as an out-of-range PM access does.
  *
  * Static analysis (DESIGN.md §10): PageLatch is a Clang CAPABILITY, so
  * scoped uses go through the RAII SharedPageLatchGuard /
  * ExclusivePageLatchGuard and are checked at compile time under
  * -Wthread-safety. The engines' strict-2PL latch *sets* — acquired page
  * by page, held across calls, released at commit — are beyond the
- * intraprocedural analysis; the slot-keyed LatchTable API they use is
+ * intraprocedural analysis; the page-keyed LatchTable API they use is
  * therefore explicitly opted out (NO_THREAD_SAFETY_ANALYSIS) and that
  * discipline is checked dynamically instead (TSan + the concurrent
  * stress suite).
@@ -137,7 +134,7 @@ throwLatchConflict(PageId pid)
 
 /** RAII shared hold of a PageLatch: acquire-or-throw in the
  *  constructor, release in the destructor. The scoped counterpart to
- *  the engines' slot-keyed 2PL sets; -Wthread-safety checks its uses. */
+ *  the engines' page-keyed 2PL sets; -Wthread-safety checks its uses. */
 class SCOPED_CAPABILITY SharedPageLatchGuard
 {
   public:
@@ -191,53 +188,43 @@ struct LatchStats
     std::uint64_t sharedAcquires = 0;
     std::uint64_t exclusiveAcquires = 0;
     std::uint64_t upgrades = 0;
-    std::uint64_t conflicts = 0; //!< failed acquires (spin exhausted)
+    /** Failed acquires (spin budget exhausted) plus refused upgrades
+     *  (another reader held the page; upgrades never spin). */
+    std::uint64_t conflicts = 0;
 };
 
 /**
- * The striped table of PageLatches. The slot-keyed methods mirror
- * PageLatch's API and additionally maintain the traffic counters; they
- * are what the engines' cross-function 2PL sets use, so they carry the
- * documented NO_THREAD_SAFETY_ANALYSIS opt-out (see file comment).
+ * One PageLatch per page, indexed by PageId. The page-keyed methods
+ * mirror PageLatch's API and additionally maintain the traffic
+ * counters; they are what the engines' cross-function 2PL sets use, so
+ * they carry the documented NO_THREAD_SAFETY_ANALYSIS opt-out (see
+ * file comment).
  */
 class LatchTable
 {
   public:
-    /** @p stripes is rounded up to a power of two (default 1024 slots
-     *  ≈ 64 KiB of padded latches: small enough to stay cache-resident,
-     *  wide enough that random collisions are rare at 16 clients). */
-    explicit LatchTable(std::size_t stripes = 1024);
+    /** Latches for page ids [0, @p pages): one padded cache line each,
+     *  64 B per page of the database. */
+    explicit LatchTable(std::size_t pages);
 
     LatchTable(const LatchTable &) = delete;
     LatchTable &operator=(const LatchTable &) = delete;
 
-    std::size_t stripes() const { return mask_ + 1; }
+    /** The latch of @p pid, for scoped (guard-based) use. Panics when
+     *  @p pid is past the table. */
+    PageLatch &latch(PageId pid);
 
-    /** Slot index a page hashes to; the unit of exclusion callers must
-     *  track. */
-    std::size_t slotFor(PageId pid) const
-    {
-        // Fibonacci hash: consecutive pids (the common allocation
-        // pattern) spread across distinct slots.
-        return (static_cast<std::uint64_t>(pid) * 0x9e3779b97f4a7c15ull
-                >> 32) & mask_;
-    }
-
-    /** The latch behind @p slot, for scoped (guard-based) use. */
-    PageLatch &latch(std::size_t slot) { return slots_[slot]; }
-
-    bool tryAcquireShared(std::size_t slot) NO_THREAD_SAFETY_ANALYSIS;
-    bool tryAcquireExclusive(std::size_t slot)
-        NO_THREAD_SAFETY_ANALYSIS;
-    bool tryUpgrade(std::size_t slot) NO_THREAD_SAFETY_ANALYSIS;
-    void releaseShared(std::size_t slot) NO_THREAD_SAFETY_ANALYSIS;
-    void releaseExclusive(std::size_t slot) NO_THREAD_SAFETY_ANALYSIS;
+    bool tryAcquireShared(PageId pid) NO_THREAD_SAFETY_ANALYSIS;
+    bool tryAcquireExclusive(PageId pid) NO_THREAD_SAFETY_ANALYSIS;
+    bool tryUpgrade(PageId pid) NO_THREAD_SAFETY_ANALYSIS;
+    void releaseShared(PageId pid) NO_THREAD_SAFETY_ANALYSIS;
+    void releaseExclusive(PageId pid) NO_THREAD_SAFETY_ANALYSIS;
 
     LatchStats statsSnapshot() const;
 
   private:
-    std::unique_ptr<PageLatch[]> slots_;
-    std::size_t mask_;
+    std::unique_ptr<PageLatch[]> latches_;
+    std::size_t pages_;
 
     /** LatchStats fields, counted per thread (pm/thread_counters.h),
      *  so latch traffic adds no shared write beyond the latch word. */

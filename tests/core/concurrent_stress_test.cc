@@ -4,7 +4,9 @@
  *
  * Layers, bottom-up:
  *  - LatchTable: mutual exclusion and reader/writer semantics proved
- *    by hammering a non-atomic counter that only the latch protects.
+ *    by hammering a non-atomic counter that only the latch protects;
+ *    distinct pages never share a latch, and a page past the table
+ *    panics.
  *  - PmDevice (CacheSim mode): concurrent writers on disjoint lines
  *    through the sharded dirty-line cache, with the persistency
  *    checker attached.
@@ -59,7 +61,7 @@ value(std::uint64_t seed, std::size_t len)
 TEST(ConcurrentLatchTest, ExclusiveProtectsPlainCounter)
 {
     LatchTable latches(64);
-    const std::size_t slot = latches.slotFor(7);
+    const PageId pid = 7;
     constexpr std::size_t kIncrements = 20000;
 
     // Deliberately NOT atomic: only the latch makes this safe, so a
@@ -70,11 +72,11 @@ TEST(ConcurrentLatchTest, ExclusiveProtectsPlainCounter)
     for (std::size_t t = 0; t < kThreads; ++t) {
         workers.emplace_back([&] {
             for (std::size_t i = 0; i < kIncrements; ++i) {
-                while (!latches.tryAcquireExclusive(slot)) {
+                while (!latches.tryAcquireExclusive(pid)) {
                     std::this_thread::yield();
                 }
                 ++counter;
-                latches.releaseExclusive(slot);
+                latches.releaseExclusive(pid);
             }
         });
     }
@@ -89,7 +91,7 @@ TEST(ConcurrentLatchTest, ExclusiveProtectsPlainCounter)
 TEST(ConcurrentLatchTest, ReadersCoexistWritersExclude)
 {
     LatchTable latches(64);
-    const std::size_t slot = latches.slotFor(3);
+    const PageId pid = 3;
 
     std::uint64_t published = 0;    // written under exclusive only
     std::atomic<bool> stop{false};
@@ -99,7 +101,7 @@ TEST(ConcurrentLatchTest, ReadersCoexistWritersExclude)
     for (std::size_t t = 0; t < kThreads - 1; ++t) {
         readers.emplace_back([&] {
             while (!stop.load(std::memory_order_acquire)) {
-                if (!latches.tryAcquireShared(slot)) {
+                if (!latches.tryAcquireShared(pid)) {
                     std::this_thread::yield();
                     continue;
                 }
@@ -107,18 +109,18 @@ TEST(ConcurrentLatchTest, ReadersCoexistWritersExclude)
                 // anything else means a reader overlapped a writer.
                 if (published % 1000 != 0)
                     torn_reads.fetch_add(1);
-                latches.releaseShared(slot);
+                latches.releaseShared(pid);
             }
         });
     }
 
     for (std::uint64_t round = 1; round <= 500; ++round) {
-        while (!latches.tryAcquireExclusive(slot))
+        while (!latches.tryAcquireExclusive(pid))
             std::this_thread::yield();
         // Pass through non-multiple states inside the critical section.
         published += 1;
         published += 999;
-        latches.releaseExclusive(slot);
+        latches.releaseExclusive(pid);
     }
     stop.store(true, std::memory_order_release);
     for (auto &r : readers)
@@ -136,8 +138,7 @@ TEST(ConcurrentLatchTest, RaiiGuardsProtectPlainCounter)
     // conflict-abort (throw) instead of spinning forever, so workers
     // catch LatchConflict and retry, mirroring engine transactions.
     LatchTable latches(64);
-    const std::size_t slot = latches.slotFor(7);
-    PageLatch &latch = latches.latch(slot);
+    PageLatch &latch = latches.latch(7);
     constexpr std::size_t kIncrements = 20000;
 
     std::uint64_t counter = 0;
@@ -176,7 +177,7 @@ TEST(ConcurrentLatchTest, RaiiGuardsProtectPlainCounter)
 TEST(ConcurrentLatchTest, GuardThrowsLatchConflictWhenHeld)
 {
     LatchTable latches(64);
-    PageLatch &latch = latches.latch(latches.slotFor(5));
+    PageLatch &latch = latches.latch(5);
 
     ExclusivePageLatchGuard holder(latch, 5);
     EXPECT_THROW(SharedPageLatchGuard(latch, 5), LatchConflict);
@@ -186,15 +187,49 @@ TEST(ConcurrentLatchTest, GuardThrowsLatchConflictWhenHeld)
 TEST(ConcurrentLatchTest, UpgradeOnlySucceedsForSoleReader)
 {
     LatchTable latches(64);
-    const std::size_t slot = latches.slotFor(11);
+    const PageId pid = 11;
 
-    ASSERT_TRUE(latches.tryAcquireShared(slot));
-    ASSERT_TRUE(latches.tryAcquireShared(slot)); // second reader
-    EXPECT_FALSE(latches.tryUpgrade(slot));      // not sole -> refuse
-    latches.releaseShared(slot);
-    EXPECT_TRUE(latches.tryUpgrade(slot));       // sole reader now
-    EXPECT_FALSE(latches.tryAcquireShared(slot));
-    latches.releaseExclusive(slot);
+    ASSERT_TRUE(latches.tryAcquireShared(pid));
+    ASSERT_TRUE(latches.tryAcquireShared(pid)); // second reader
+    EXPECT_FALSE(latches.tryUpgrade(pid));      // not sole -> refuse
+    latches.releaseShared(pid);
+    EXPECT_TRUE(latches.tryUpgrade(pid));       // sole reader now
+    EXPECT_FALSE(latches.tryAcquireShared(pid));
+    latches.releaseExclusive(pid);
+}
+
+TEST(ConcurrentLatchTest, DistinctPagesNeverConflict)
+{
+    // One latch per page: while page p is held exclusively, every
+    // other page takes a shared latch and upgrades it without a single
+    // conflict. A table that folded pages onto fewer latches would
+    // refuse some of these by the pigeonhole principle.
+    constexpr PageId kPages = 256;
+    LatchTable latches(kPages);
+    for (PageId p = 0; p < kPages; ++p) {
+        ASSERT_TRUE(latches.tryAcquireExclusive(p));
+        for (PageId q = 0; q < kPages; ++q) {
+            if (q == p)
+                continue;
+            ASSERT_TRUE(latches.tryAcquireShared(q)) << p << " vs " << q;
+            ASSERT_TRUE(latches.tryUpgrade(q)) << p << " vs " << q;
+            latches.releaseExclusive(q);
+        }
+        latches.releaseExclusive(p);
+    }
+    LatchStats stats = latches.statsSnapshot();
+    EXPECT_EQ(stats.conflicts, 0u);
+    EXPECT_EQ(stats.upgrades, std::uint64_t{kPages} * (kPages - 1));
+}
+
+TEST(ConcurrentLatchDeathTest, PagePastTheTablePanics)
+{
+    // The death test forks; re-exec keeps that safe in a binary whose
+    // other tests start threads.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    LatchTable latches(16);
+    EXPECT_DEATH(latches.tryAcquireShared(16), "page latch out of range");
+    EXPECT_DEATH(latches.latch(16), "page latch out of range");
 }
 
 // ----------------------------------------------------------------- device

@@ -99,19 +99,11 @@ TEST(HistogramTest, OverflowBucketReportsRecordedMax)
     EXPECT_EQ(h.p50(), huge);
 }
 
-TEST(HistogramTest, MergeAddsBucketsAndKeepsMax)
+TEST(HistogramTest, ResetClearsCountsAndMax)
 {
-    Histogram a, b;
+    Histogram a;
     a.record(1);
-    a.record(6);
-    b.record(6);
-    b.record(4000);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_EQ(a.sum(), 1u + 6 + 6 + 4000);
-    EXPECT_EQ(a.max(), 4000u);
-    EXPECT_EQ(a.bucketCount(Histogram::bucketIndex(6)), 2u);
-    EXPECT_EQ(a.bucketCount(Histogram::bucketIndex(4000)), 1u);
+    a.record(4000);
     a.reset();
     EXPECT_EQ(a.count(), 0u);
     EXPECT_EQ(a.max(), 0u);
@@ -288,15 +280,47 @@ TEST(SpanProfilerTest, ReservoirKeepsSlowestAndLatchHistMerges)
     prof.recordLatchWait(900, 70000, true);
     EXPECT_EQ(prof.totalLatchWaits(), 2u);
     EXPECT_EQ(prof.totalLatchConflicts(), 1u);
-    EXPECT_EQ(prof.contendedSlotCount(), 2u);
+    EXPECT_EQ(prof.pageHeat().tracked, 2u);
     HistogramSnapshot merged = prof.latchWaitHist();
     EXPECT_EQ(merged.count, 2u);
     EXPECT_EQ(merged.max, 70000u);
     prof.resetLatchContention();
     EXPECT_EQ(prof.totalLatchWaits(), 0u);
     EXPECT_EQ(prof.latchWaitHist().count, 0u);
-    // Contention reset leaves spans and outliers alone.
+    // Contention reset also clears the pages' latch fields, and leaves
+    // spans, outliers and page cells alone.
     EXPECT_EQ(prof.outliers().size(), kOutliersPerEngine);
+    PageHeatSnapshot heat = prof.pageHeat();
+    EXPECT_EQ(heat.tracked, 2u);
+    for (const PageHeatEntry &e : heat.top) {
+        EXPECT_EQ(e.latchWaits, 0u);
+        EXPECT_EQ(e.latchWaitNs, 0u);
+        EXPECT_EQ(e.conflicts, 0u);
+    }
+}
+
+// Latch waits are keyed by page: each lands in its page's heat cell,
+// and a contended page outside the k hottest still appears.
+TEST(SpanProfilerTest, LatchWaitsLandInTheirPageHeatCell)
+{
+    SpanProfiler prof;
+    for (std::uint64_t page = 0; page < 40; ++page) {
+        for (std::uint64_t i = 0; i <= page; ++i)
+            prof.recordPageAccess(page, false);
+    }
+    prof.recordLatchWait(39, 300, false);
+    prof.recordLatchWait(39, 200, true);
+    prof.recordLatchWait(5, 70, true); // outside the 32 hottest
+
+    PageHeatSnapshot heat = prof.pageHeat(32);
+    ASSERT_EQ(heat.top.size(), 33u);
+    EXPECT_EQ(heat.top[0].page, 39u);
+    EXPECT_EQ(heat.top[0].latchWaits, 2u);
+    EXPECT_EQ(heat.top[0].latchWaitNs, 500u);
+    EXPECT_EQ(heat.top[0].conflicts, 1u);
+    EXPECT_EQ(heat.top[1].latchWaits, 0u);
+    EXPECT_EQ(heat.top[32].page, 5u);
+    EXPECT_EQ(heat.top[32].latchWaitNs, 70u);
 }
 
 // 8-thread stress over the span rings, contention aggregates, and the
@@ -314,7 +338,6 @@ TEST(ObsStressTest, SpanRingAndHeatSketchConcurrent)
     std::thread reader([&] {
         while (writing.load(std::memory_order_acquire)) {
             (void)prof.engineSummaries();
-            (void)prof.latchContention();
             (void)prof.latchWaitHist();
             (void)prof.pageHeat();
             (void)prof.outliers();
@@ -340,8 +363,6 @@ TEST(ObsStressTest, SpanRingAndHeatSketchConcurrent)
                 prof.recordLatchWait(t * 100 + (i % 3), 50,
                                      i % 11 == 0);
                 prof.recordPageAccess(i % 300, i % 2 == 0);
-                if (i % 13 == 0)
-                    prof.recordPageConflict(i % 300);
             }
         });
     }
@@ -375,8 +396,15 @@ TEST(ObsStressTest, SpanRingAndHeatSketchConcurrent)
     // The --trace timeline renders exactly the retained spans.
     EXPECT_EQ(prof.retainedSpans().size(), retained_total);
 
+    // The contention totals and the merged histogram are exact; only
+    // the heat sketch may lose counts.
+    constexpr std::uint64_t kConflicts =
+        kThreads * ((kSpansPerThread + 10) / 11);
     EXPECT_EQ(prof.totalLatchWaits(), kSpans);
-    EXPECT_EQ(prof.latchWaitHist().count, kSpans);
+    EXPECT_EQ(prof.totalLatchConflicts(), kConflicts);
+    HistogramSnapshot waits = prof.latchWaitHist();
+    EXPECT_EQ(waits.count, kSpans);
+    EXPECT_EQ(waits.sum, kSpans * 50);
 
     PageHeatSnapshot heat = prof.pageHeat(kPageHeatSlots);
     EXPECT_LE(heat.tracked, kPageHeatSlots);
@@ -403,18 +431,21 @@ TEST(SpanProfilerTest, MetricsOffRecordsNothing)
     std::uint64_t spans0 = prof.spansRecorded();
     std::size_t outliers0 = prof.outliers().size();
     std::uint64_t waits0 = prof.totalLatchWaits();
+    std::uint64_t hist0 = prof.latchWaitHist().count;
+    std::uint64_t tracked0 = prof.pageHeat().tracked;
 
     spanBegin("FAST", 1, 42);
     spanPageAccess(7, true);
     spanLatchWait(3, 5000, true);
     spanSplit();
     spanDefrag();
-    spanPageConflict(7);
     spanEnd(true, "in-place");
 
     EXPECT_EQ(prof.spansRecorded(), spans0);
     EXPECT_EQ(prof.outliers().size(), outliers0);
     EXPECT_EQ(prof.totalLatchWaits(), waits0);
+    EXPECT_EQ(prof.latchWaitHist().count, hist0);
+    EXPECT_EQ(prof.pageHeat().tracked, tracked0);
     EXPECT_EQ(outliers0, 0u);
 }
 

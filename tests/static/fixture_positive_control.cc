@@ -34,12 +34,11 @@ int
 readUnderLatches(fasp::LatchTable &table, fasp::PageId pid,
                  Counter &counter)
 {
-    std::size_t slot = table.slotFor(pid);
     {
-        fasp::SharedPageLatchGuard shared(table.latch(slot), pid);
+        fasp::SharedPageLatchGuard shared(table.latch(pid), pid);
         counter.increment();
     }
-    fasp::ExclusivePageLatchGuard exclusive(table.latch(slot), pid);
+    fasp::ExclusivePageLatchGuard exclusive(table.latch(pid), pid);
     return counter.snapshot();
 }
 

@@ -93,6 +93,31 @@ sortedPhases(const JsonValue &phaseNs)
     return out;
 }
 
+/** The page_heat entries a latch wait hit, most waits first (page
+ *  ascending on ties; counts, not wall ns, so --stable can use it):
+ *  the contended pages. */
+std::vector<const JsonValue *>
+contendedPages(const JsonValue &doc)
+{
+    std::vector<const JsonValue *> out;
+    const JsonValue *heat = doc.find("page_heat");
+    const JsonValue *top = heat != nullptr ? heat->find("top") : nullptr;
+    if (top == nullptr)
+        return out;
+    for (const JsonValue &pe : top->items) {
+        if (num(pe, "latch_waits") > 0)
+            out.push_back(&pe);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const JsonValue *a, const JsonValue *b) {
+                  std::uint64_t wa = num(*a, "latch_waits");
+                  std::uint64_t wb = num(*b, "latch_waits");
+                  return wa != wb ? wa > wb
+                                  : num(*a, "page") < num(*b, "page");
+              });
+    return out;
+}
+
 // --- Text report -----------------------------------------------------------
 
 /** @p stable: print only fields that are deterministic for a seeded
@@ -162,26 +187,30 @@ printText(const JsonValue &doc, bool stable)
     const JsonValue *latch = doc.find("latch_contention");
     std::printf("\n== latch contention ==\n");
     if (latch != nullptr) {
-        std::printf("waits=%" PRIu64 " conflicts=%" PRIu64
-                    " contended_slots=%" PRIu64 "\n",
+        std::printf("waits=%" PRIu64 " conflicts=%" PRIu64,
                     num(*latch, "total_waits"),
-                    num(*latch, "total_conflicts"),
-                    num(*latch, "contended_slots"));
-        const JsonValue *slots = latch->find("slots");
-        if (!stable && slots != nullptr && !slots->items.empty()) {
-            std::printf("%6s %8s %10s %12s %10s %10s\n", "slot",
-                        "waits", "conflicts", "wait_ns", "p95", "p99");
-            for (const JsonValue &ls : slots->items) {
-                const JsonValue *hist = ls.find("hist");
-                std::printf(
-                    "%6" PRIu64 " %8" PRIu64 " %10" PRIu64
-                    " %12" PRIu64 " %10s %10s\n",
-                    num(ls, "slot"), num(ls, "waits"),
-                    num(ls, "conflicts"), num(ls, "wait_ns"),
-                    hist != nullptr ? fmtNs(num(*hist, "p95")).c_str()
-                                    : "-",
-                    hist != nullptr ? fmtNs(num(*hist, "p99")).c_str()
-                                    : "-");
+                    num(*latch, "total_conflicts"));
+        const JsonValue *hist = latch->find("hist");
+        if (!stable && hist != nullptr) {
+            std::printf(" wait p95=%s p99=%s max=%s",
+                        fmtNs(num(*hist, "p95")).c_str(),
+                        fmtNs(num(*hist, "p99")).c_str(),
+                        fmtNs(num(*hist, "max")).c_str());
+        }
+        std::printf("\n");
+        auto pages = contendedPages(doc);
+        if (!pages.empty()) {
+            std::printf("%10s %8s %10s", "page", "waits", "conflicts");
+            if (!stable)
+                std::printf(" %12s", "wait_ns");
+            std::printf("\n");
+            for (const JsonValue *pe : pages) {
+                std::printf("%10" PRIu64 " %8" PRIu64 " %10" PRIu64,
+                            num(*pe, "page"), num(*pe, "latch_waits"),
+                            num(*pe, "conflicts"));
+                if (!stable)
+                    std::printf(" %12" PRIu64, num(*pe, "latch_wait_ns"));
+                std::printf("\n");
             }
         }
     }
@@ -244,12 +273,12 @@ printText(const JsonValue &doc, bool stable)
             }
         }
         std::printf("      latch: waits=%" PRIu64 " wait=%s"
-                    " conflicts=%" PRIu64 " hot_slot=%" PRIu64
+                    " conflicts=%" PRIu64 " hot_page=%" PRIu64
                     " (%s)\n",
                     num(o, "latch_waits"),
                     fmtNs(num(o, "latch_wait_ns")).c_str(),
                     num(o, "latch_conflicts"),
-                    num(o, "hot_latch_slot"),
+                    num(o, "hot_latch_page"),
                     fmtNs(num(o, "hot_latch_wait_ns")).c_str());
         std::printf("      pm: model=%s flushes=%" PRIu64
                     " fences=%" PRIu64 " wal=%" PRIu64
@@ -265,9 +294,9 @@ printText(const JsonValue &doc, bool stable)
 
 // --- JSON artifact ---------------------------------------------------------
 
-/** Condensed profile (the CI artifact): per-engine totals, the hot
- *  latch slots, the hot pages, and the outlier headlines (dominant
- *  phase per outlier). */
+/** Condensed profile (the CI artifact): per-engine totals, the latch
+ *  totals and contended pages, the hot pages, and the outlier
+ *  headlines (dominant phase per outlier). */
 void
 printJson(const JsonValue &doc)
 {
@@ -323,10 +352,18 @@ printJson(const JsonValue &doc)
         ", \"conflicts\": " +
         std::to_string(
             latch != nullptr ? num(*latch, "total_conflicts") : 0) +
-        ", \"contended_slots\": " +
-        std::to_string(
-            latch != nullptr ? num(*latch, "contended_slots") : 0) +
-        "}";
+        ", \"contended_pages\": [";
+    auto pages = contendedPages(doc);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        const JsonValue &pe = *pages[i];
+        out += std::string(i != 0 ? ", " : "") + "{\"page\": " +
+            std::to_string(num(pe, "page")) + ", \"waits\": " +
+            std::to_string(num(pe, "latch_waits")) +
+            ", \"conflicts\": " + std::to_string(num(pe, "conflicts")) +
+            ", \"wait_ns\": " +
+            std::to_string(num(pe, "latch_wait_ns")) + "}";
+    }
+    out += "]}";
 
     out += ", \"hot_pages\": [";
     const JsonValue *heat = doc.find("page_heat");

@@ -1,5 +1,5 @@
 # Shape test for fasp-profile: run all three render modes over the
-# export-demo golden (a deterministic schema-v5 document with spans,
+# export-demo golden (a deterministic schema-v6 document with spans,
 # contention, heat, and outliers) and assert each output carries the
 # expected structure.
 
@@ -22,7 +22,12 @@ require_match("${report}" "== page heat" "report")
 require_match("${report}" "== p99 outliers ==" "report")
 require_match("${report}" "FAST" "report")
 require_match("${report}" "log-flush" "report")
-require_match("${report}" "hot_slot=17" "report")
+require_match("${report}" "hot_page=3" "report")
+# The contention section names its pages from page_heat, most waits
+# first: page 3 (2 waits, 1 conflict, 3000 ns), then page 11.
+require_match("${report}"
+    "== latch contention ==\nwaits=3 conflicts=1 [^\n]*\n *page +waits +conflicts +wait_ns\n +3 +2 +1 +3000\n +11 +1 +0 +500\n"
+    "report")
 
 # Stable report: no wall-clock fields may leak through.
 execute_process(
@@ -32,7 +37,9 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "fasp-profile --stable exited with ${rc}")
 endif()
 require_match("${stable}" "captured=" "--stable")
-if(stable MATCHES "wall p50" OR stable MATCHES "hot_slot")
+require_match("${stable}" "\n +3 +2 +1\n +11 +1 +0\n" "--stable")
+if(stable MATCHES "wall p50" OR stable MATCHES "hot_page"
+   OR stable MATCHES "wait_ns" OR stable MATCHES "wait p95")
     message(FATAL_ERROR "fasp-profile --stable leaks timing fields")
 endif()
 
@@ -45,6 +52,9 @@ if(NOT rc EQUAL 0)
 endif()
 require_match("${artifact}" "\"tool\": \"fasp-profile\"" "--json")
 require_match("${artifact}" "\"dominant_phase\": \"log-flush\"" "--json")
+require_match("${artifact}"
+    "\"contended_pages\": \\[{\"page\": 3, \"waits\": 2, \"conflicts\": 1, \"wait_ns\": 3000}, {\"page\": 11,"
+    "--json")
 
 # chrome://tracing document.
 execute_process(

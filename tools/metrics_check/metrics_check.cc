@@ -1,18 +1,23 @@
 /**
  * @file
- * Schema self-check for the bench harness's machine-readable outputs
- * (ISSUE 4 satellite 4). Runs a bench binary with --smoke --json
- * --metrics, then validates both files with the minimal JSON parser
- * shared across tools (tools/common/mini_json.h):
+ * Schema self-check for the bench harness's machine-readable outputs.
+ * Runs a bench binary with --smoke --json --metrics, then validates
+ * both files with the minimal JSON parser shared across tools
+ * (tools/common/mini_json.h):
  *
  *  - the --json report: {"bench", "tables": [{title, columns, rows}]}
  *    with rectangular rows — the missing-field regression guard for
  *    the CI bench-smoke artifacts;
- *  - the --metrics export: schema_version 5, counters / gauges /
+ *  - the --metrics export: schema_version 6, counters / gauges /
  *    histograms (complete summary fields), pm_phases / pm_sites /
  *    recovery sections, and the span profiler's spans /
- *    latch_contention / page_heat / outliers sections. A v4 leftover
- *    (a `trace` section, outlier `events` slices) is rejected.
+ *    latch_contention / page_heat / outliers sections, with latch
+ *    contention keyed by page. A v4 leftover (a `trace` section,
+ *    outlier `events` slices) or a v5 one (any latch field keyed by
+ *    slot) is rejected.
+ *
+ * With --metrics, instead validates one or more existing --metrics
+ * exports (the CI bench-smoke artifacts) against that schema.
  *
  * With --fig8, additionally asserts that the export alone reproduces
  * the paper's Figure-8 commit breakdown for FAST / FASH / NVWAL:
@@ -27,6 +32,7 @@
  * report schema.
  *
  * Usage: metrics_check [--fig8] <bench-binary> [work-dir]
+ *        metrics_check --metrics <metrics.json>...
  *        metrics_check --forensics <report.json>...
  */
 
@@ -151,6 +157,13 @@ checkCell(const JsonValue &cell, const std::string &where)
 }
 
 void
+checkHist(const JsonValue &h, const std::string &where)
+{
+    for (const char *field : {"count", "sum", "max", "p50", "p95", "p99"})
+        requireField(h, field, JsonValue::Number, where);
+}
+
+void
 checkMetricsSchema(const JsonValue &doc)
 {
     requireField(doc, "bench", JsonValue::String, "metrics");
@@ -158,7 +171,7 @@ checkMetricsSchema(const JsonValue &doc)
         requireField(doc, "schema_version", JsonValue::Number,
                      "metrics");
     if (version)
-        check(version->number == 5, "metrics: schema_version != 5");
+        check(version->number == 6, "metrics: schema_version != 6");
 
     const JsonValue *counters =
         requireField(doc, "counters", JsonValue::Object, "metrics");
@@ -177,9 +190,7 @@ checkMetricsSchema(const JsonValue &doc)
             if (!check(h.kind == JsonValue::Object,
                        where + ": not an object"))
                 continue;
-            for (const char *field :
-                 {"count", "sum", "max", "p50", "p95", "p99"})
-                requireField(h, field, JsonValue::Number, where);
+            checkHist(h, where);
             requireField(h, "buckets", JsonValue::Array, where);
         }
     }
@@ -261,12 +272,8 @@ checkMetricsSchema(const JsonValue &doc)
                     requireField(es, field, JsonValue::Number, where);
                 const JsonValue *wall = requireField(
                     es, "wall_ns", JsonValue::Object, where);
-                if (wall) {
-                    for (const char *field :
-                         {"count", "sum", "max", "p50", "p95", "p99"})
-                        requireField(*wall, field, JsonValue::Number,
-                                     where + ".wall_ns");
-                }
+                if (wall)
+                    checkHist(*wall, where + ".wall_ns");
                 requireField(es, "phase_ns", JsonValue::Object, where);
             }
         }
@@ -275,25 +282,15 @@ checkMetricsSchema(const JsonValue &doc)
     const JsonValue *latch = requireField(
         doc, "latch_contention", JsonValue::Object, "metrics");
     if (latch) {
-        for (const char *field :
-             {"total_waits", "total_conflicts", "contended_slots"})
+        for (const char *field : {"total_waits", "total_conflicts"})
             requireField(*latch, field, JsonValue::Number,
                          "latch_contention");
-        const JsonValue *slots = requireField(
-            *latch, "slots", JsonValue::Array, "latch_contention");
-        if (slots) {
-            for (const JsonValue &ls : slots->items) {
-                if (!check(ls.kind == JsonValue::Object,
-                           "latch_contention slot not an object"))
-                    continue;
-                for (const char *field :
-                     {"slot", "waits", "conflicts", "wait_ns"})
-                    requireField(ls, field, JsonValue::Number,
-                                 "latch_contention slot");
-                requireField(ls, "hist", JsonValue::Object,
-                             "latch_contention slot");
-            }
-        }
+        if (const JsonValue *hist = requireField(
+                *latch, "hist", JsonValue::Object, "latch_contention"))
+            checkHist(*hist, "latch_contention.hist");
+        check(latch->fields.size() == 3,
+              "latch_contention: fields beyond total_waits, "
+              "total_conflicts and hist (v5 per-slot leftovers?)");
     }
 
     const JsonValue *heat =
@@ -309,7 +306,8 @@ checkMetricsSchema(const JsonValue &doc)
                            "page_heat entry not an object"))
                     continue;
                 for (const char *field :
-                     {"page", "accesses", "dirty", "conflicts"})
+                     {"page", "accesses", "dirty", "conflicts",
+                      "latch_waits", "latch_wait_ns"})
                     requireField(pe, field, JsonValue::Number,
                                  "page_heat entry");
             }
@@ -327,14 +325,18 @@ checkMetricsSchema(const JsonValue &doc)
             requireField(o, "committed", JsonValue::Bool, "outlier");
             for (const char *field :
                  {"tx_id", "wall_ns", "model_ns", "latch_waits",
-                  "latch_wait_ns", "pcas_retries", "flushes", "fences",
-                  "wal_appends"})
+                  "latch_wait_ns", "hot_latch_page", "hot_latch_wait_ns",
+                  "pcas_retries", "flushes", "fences", "wal_appends"})
                 requireField(o, field, JsonValue::Number, "outlier");
             requireField(o, "phase_ns", JsonValue::Object, "outlier");
             for (const char *gone : {"events", "seq_lo", "seq_hi"})
                 check(o.find(gone) == nullptr,
                       std::string("outlier: v4 field \"") + gone +
                           "\" present");
+            for (const auto &[key, v] : o.fields)
+                check(key.find("slot") == std::string::npos,
+                      "outlier: v5 field \"" + key +
+                          "\" present (latches are keyed by page)");
         }
     }
     check(doc.find("trace") == nullptr,
@@ -560,6 +562,19 @@ checkForensicsReport(const JsonValue &doc, const std::string &path)
     }
 }
 
+/** Exit status from the failure count, with the summary line. */
+int
+finish()
+{
+    if (g_failures) {
+        std::fprintf(stderr, "metrics_check: %d failure(s)\n",
+                     g_failures);
+        return 1;
+    }
+    std::fprintf(stderr, "metrics_check: OK\n");
+    return 0;
+}
+
 } // namespace
 
 int
@@ -571,29 +586,34 @@ main(int argc, char **argv)
         fig8 = true;
         ++arg;
     }
-    if (arg < argc && std::strcmp(argv[arg], "--forensics") == 0) {
-        ++arg;
+    auto flag = [&](const char *name) {
+        return arg < argc && std::strcmp(argv[arg], name) == 0;
+    };
+    bool forensics = flag("--forensics");
+    if (forensics || flag("--metrics")) {
+        const char *mode = argv[arg++];
         if (arg >= argc) {
-            std::fprintf(stderr, "usage: metrics_check --forensics "
-                                 "<report.json>...\n");
+            std::fprintf(stderr, "usage: metrics_check %s <file.json>...\n",
+                         mode);
             return 2;
         }
         for (; arg < argc; ++arg) {
-            if (auto doc = loadJson(argv[arg]))
+            std::fprintf(stderr, "metrics_check: checking %s\n",
+                         argv[arg]);
+            auto doc = loadJson(argv[arg]);
+            if (doc && forensics)
                 checkForensicsReport(*doc, argv[arg]);
+            else if (doc)
+                checkMetricsSchema(*doc);
         }
-        if (g_failures) {
-            std::fprintf(stderr, "metrics_check: %d failure(s)\n",
-                         g_failures);
-            return 1;
-        }
-        std::fprintf(stderr, "metrics_check: OK\n");
-        return 0;
+        return finish();
     }
     if (arg >= argc) {
         std::fprintf(stderr,
                      "usage: metrics_check [--fig8] <bench-binary> "
                      "[work-dir]\n"
+                     "       metrics_check --metrics "
+                     "<metrics.json>...\n"
                      "       metrics_check --forensics "
                      "<report.json>...\n");
         return 2;
@@ -624,11 +644,5 @@ main(int argc, char **argv)
             checkFig8(*metrics_doc);
     }
 
-    if (g_failures) {
-        std::fprintf(stderr, "metrics_check: %d failure(s)\n",
-                     g_failures);
-        return 1;
-    }
-    std::fprintf(stderr, "metrics_check: OK\n");
-    return 0;
+    return finish();
 }

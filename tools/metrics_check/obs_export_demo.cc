@@ -89,7 +89,7 @@ main(int argc, char **argv)
     recovery.record("NVWAL", nvwal_rec); // second pass accumulates
 
     // Span-profiler fixture (schema v4+ sections): two FAST spans, one
-    // NVWAL span, a contended latch slot, and a few hot pages.
+    // NVWAL span, and a few hot pages, two of them latch-contended.
     obs::SpanProfiler profiler;
     obs::TxSpan fast_fast;
     fast_fast.txId = 6;
@@ -123,7 +123,7 @@ main(int argc, char **argv)
         pm::Component::Checkpoint)] = 12000;
     fast_slow.latchWaits = 2;
     fast_slow.latchWaitNs = 3000;
-    fast_slow.hotLatchSlot = 17;
+    fast_slow.hotLatchPage = 3;
     fast_slow.hotLatchWaitNs = 2000;
     fast_slow.flushes = 9;
     fast_slow.fences = 3;
@@ -143,13 +143,12 @@ main(int argc, char **argv)
     nvwal_span.pageAccesses = 1;
     profiler.recordSpan(nvwal_span);
 
-    profiler.recordLatchWait(17, 2000, false);
-    profiler.recordLatchWait(17, 1000, false);
-    profiler.recordLatchWait(40, 500, true);
+    profiler.recordLatchWait(3, 2000, false);
+    profiler.recordLatchWait(3, 1000, true);
+    profiler.recordLatchWait(11, 500, false);
     for (int i = 0; i < 6; ++i)
         profiler.recordPageAccess(3, i % 2 == 0);
     profiler.recordPageAccess(11, true);
-    profiler.recordPageConflict(3);
 
     std::string json = obs::exportJson("obs_export_demo", registry,
                                        ledger, recovery, &profiler);
