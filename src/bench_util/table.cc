@@ -6,6 +6,7 @@
 #include <regex>
 
 #include "common/logging.h"
+#include "obs/export.h"
 
 namespace fasp::benchutil {
 
@@ -58,29 +59,6 @@ Table::fmt(std::uint64_t v)
 
 namespace {
 
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
 /** True if @p s is a finite number in JSON number syntax. */
 bool
 isJsonNumber(const std::string &s)
@@ -98,7 +76,7 @@ appendJsonCell(std::string &out, const std::string &cell)
     if (isJsonNumber(cell))
         out += cell;
     else
-        appendJsonString(out, cell);
+        obs::appendJsonString(out, cell);
 }
 
 } // namespace
@@ -117,19 +95,19 @@ JsonReport::write() const
     if (!enabled())
         return;
     std::string out = "{\"bench\": ";
-    appendJsonString(out, bench_);
+    obs::appendJsonString(out, bench_);
     out += ", \"tables\": [";
     for (std::size_t t = 0; t < tables_.size(); ++t) {
         const auto &[title, table] = tables_[t];
         if (t)
             out += ", ";
         out += "\n  {\"title\": ";
-        appendJsonString(out, title);
+        obs::appendJsonString(out, title);
         out += ", \"columns\": [";
         for (std::size_t c = 0; c < table.header().size(); ++c) {
             if (c)
                 out += ", ";
-            appendJsonString(out, table.header()[c]);
+            obs::appendJsonString(out, table.header()[c]);
         }
         out += "], \"rows\": [";
         for (std::size_t r = 0; r < table.rows().size(); ++r) {

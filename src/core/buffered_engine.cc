@@ -28,7 +28,6 @@ BufferedEngine::BufferedEngine(pm::PmDevice &device,
 std::unique_ptr<Transaction>
 BufferedEngine::begin()
 {
-    stats_.add(kTxBegun);
     return std::make_unique<BufferedTransaction>(*this, nextTxId());
 }
 
@@ -55,36 +54,12 @@ BufferedEngine::CachedBitmapIO::writeByte(std::uint32_t index,
 // --- BufferedTransaction -----------------------------------------------------
 
 BufferedTransaction::BufferedTransaction(BufferedEngine &engine, TxId id)
-    : Transaction(id), engine_(engine), txLock_(engine.txMutex_)
-{
-    engine_.device_.txBegin();
-    // The op-begin record is durable before any of this transaction's
-    // own persistence, so post-crash forensics can always name the
-    // in-flight operation (or prove there was none).
-    if (auto *fr = engine_.recorder()) {
-        fr->append(obs::FlightEventType::OpBegin,
-                   engine_.recorderEngineCode(), id, 0, 0);
-    }
-    obs::spanBegin(engineKindName(engine_.config_.kind),
-                   engine_.recorderEngineCode(), id);
-}
+    : EngineTransaction(engine, id, &engine.txMutex_), engine_(engine)
+{}
 
 BufferedTransaction::~BufferedTransaction()
 {
-    if (!finished_)
-        rollback();
-}
-
-std::size_t
-BufferedTransaction::pageSize() const
-{
-    return engine_.sb_.pageSize;
-}
-
-PageId
-BufferedTransaction::directoryPid() const
-{
-    return engine_.sb_.directoryPid;
+    rollback();
 }
 
 page::PageIO &
@@ -108,7 +83,7 @@ BufferedTransaction::page(PageId pid, bool for_write)
 }
 
 Result<PageId>
-BufferedTransaction::allocPage()
+BufferedTransaction::allocate()
 {
     engine_.txMutex_.assertHeld(); // taken by the constructor
     auto pid = engine_.allocator_.allocate();
@@ -120,39 +95,16 @@ BufferedTransaction::allocPage()
     engine_.cache_.get(*pid);
     engine_.cache_.pin(*pid);
     engine_.cache_.markDirty(*pid);
-    allocs_.push_back(*pid);
-    // A page allocated while defragmenting is the copy target;
-    // anything else is tree growth (a split or a new root/leaf).
-    bool defrag = pm::currentThreadComponent() == pm::Component::Defrag;
-    if (auto *fr = engine_.recorder()) {
-        fr->append(defrag ? obs::FlightEventType::Defrag
-                          : obs::FlightEventType::PageSplit,
-                   engine_.recorderEngineCode(), id_, *pid, 0);
-    }
-    if (defrag)
-        obs::spanDefrag();
-    else
-        obs::spanSplit();
     return pid;
 }
 
 void
-BufferedTransaction::freePage(PageId pid)
+BufferedTransaction::dropPage(PageId pid, bool reusable)
 {
     engine_.txMutex_.assertHeld(); // taken by the constructor
-    auto it = std::find(allocs_.begin(), allocs_.end(), pid);
-    if (it != allocs_.end()) {
-        // Allocated and freed within this transaction: never became
-        // reachable, so it may be recycled immediately.
-        allocs_.erase(it);
+    if (reusable) {
         engine_.allocator_.free(pid);
         engine_.cache_.rollbackPage(pid); // discard scribbles
-    } else {
-        // A live page must stay unavailable until commit: releasing
-        // its id now would let this same transaction recycle it as a
-        // fresh page, and the freed-page cleanup at commit would then
-        // wipe the reincarnation's contents.
-        frees_.push_back(pid);
     }
     views_.erase(pid);
 }
@@ -167,34 +119,18 @@ BufferedTransaction::deferReclaim(PageId pid, const page::RecordRef &ref)
 }
 
 void
-BufferedTransaction::rollback()
+BufferedTransaction::discard()
 {
-    if (finished_)
-        return;
     engine_.txMutex_.assertHeld(); // taken by the constructor
     for (PageId pid : engine_.cache_.dirtyPages())
         engine_.cache_.rollbackPage(pid);
     engine_.cache_.unpinAll();
     views_.clear();
-    allocs_.clear();
-    frees_.clear();
-    finished_ = true;
-    engine_.device_.txEnd(/*committed=*/false);
-    if (auto *fr = engine_.recorder()) {
-        fr->append(obs::FlightEventType::Abort,
-                   engine_.recorderEngineCode(), id_, 0, 0);
-    }
-    engine_.stats_.add(BufferedEngine::kTxRolledBack);
-    obs::spanEnd(/*committed=*/false, nullptr);
-    // fasp-analyze: allow(bare-mutex-lock) -- early release of the RAII
-    // transaction lock; the unique_lock destructor stays the backstop.
-    txLock_.unlock();
 }
 
-Status
-BufferedTransaction::commit()
+Result<CommitPath>
+BufferedTransaction::persist()
 {
-    FASP_ASSERT(!finished_);
     engine_.txMutex_.assertHeld(); // taken by the constructor
 
     // Deferred frees: release the allocator bits now (cached bitmap
@@ -219,25 +155,8 @@ BufferedTransaction::commit()
         engine_.cache_.drop(pid);
     engine_.cache_.unpinAll();
     views_.clear();
-    allocs_.clear();
-    frees_.clear();
-    finished_ = true;
-    engine_.device_.txEnd(/*committed=*/true);
-    if (auto *fr = engine_.recorder()) {
-        // aux = 2: the buffered baselines always commit through their
-        // log/journal (mirrors FaspTransaction's path encoding).
-        std::uint64_t path_code = dirty.empty() ? 0 : 2;
-        fr->append(obs::FlightEventType::CommitPoint,
-                   engine_.recorderEngineCode(), id_, 0, path_code);
-    }
-    engine_.stats_.add(BufferedEngine::kTxCommitted);
-    engine_.stats_.add(BufferedEngine::kLogCommits);
-    obs::spanEnd(/*committed=*/true, dirty.empty() ? "read-only"
-                                                   : "logged");
-    // fasp-analyze: allow(bare-mutex-lock) -- early release of the RAII
-    // transaction lock; the unique_lock destructor stays the backstop.
-    txLock_.unlock();
-    return Status::ok();
+    // The buffered baselines always commit through their log/journal.
+    return dirty.empty() ? CommitPath::ReadOnly : CommitPath::Logged;
 }
 
 // --- NvwalEngine -------------------------------------------------------------
@@ -255,7 +174,7 @@ NvwalEngine::initFresh()
 }
 
 Status
-NvwalEngine::recover(wal::RecoveryBreakdown &breakdown)
+NvwalEngine::recover(obs::RecoveryBreakdown &breakdown)
 {
     PhaseScope phase(Component::Recovery);
     MutexLock lk(&txMutex_); // quiescent, but keeps the guard provable
@@ -310,7 +229,7 @@ JournalEngine::initFresh()
 }
 
 Status
-JournalEngine::recover(wal::RecoveryBreakdown &breakdown)
+JournalEngine::recover(obs::RecoveryBreakdown &breakdown)
 {
     PhaseScope phase(Component::Recovery);
     MutexLock lk(&txMutex_); // quiescent, but keeps the guard provable
@@ -377,7 +296,7 @@ LegacyWalEngine::initFresh()
 }
 
 Status
-LegacyWalEngine::recover(wal::RecoveryBreakdown &breakdown)
+LegacyWalEngine::recover(obs::RecoveryBreakdown &breakdown)
 {
     PhaseScope phase(Component::Recovery);
     MutexLock lk(&txMutex_); // quiescent, but keeps the guard provable

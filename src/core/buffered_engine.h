@@ -23,7 +23,6 @@
 #define FASP_CORE_BUFFERED_ENGINE_H
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -38,24 +37,20 @@ namespace fasp::core {
 
 class BufferedEngine;
 
-/** Transaction over volatile page copies; see file comment. */
-class BufferedTransaction : public Transaction, public btree::TxPageIO
+/** Transaction over volatile page copies; see file comment. Holds the
+ *  engine's txMutex_ from begin() to commit()/rollback(): a lock handed
+ *  from the constructor to commit() is beyond the intraprocedural
+ *  -Wthread-safety analysis, so the methods that rely on it re-assert
+ *  the capability via Mutex::assertHeld() (DESIGN.md §10). */
+class BufferedTransaction : public EngineTransaction
 {
   public:
     BufferedTransaction(BufferedEngine &engine, TxId id);
     ~BufferedTransaction() override;
 
-    btree::TxPageIO &pageIO() override { return *this; }
-    Status commit() override;
-    void rollback() override;
-
     // --- TxPageIO ---------------------------------------------------------
-    std::size_t pageSize() const override;
     page::PageIO &page(PageId pid, bool for_write) override;
-    Result<PageId> allocPage() override;
-    void freePage(PageId pid) override;
     void deferReclaim(PageId pid, const page::RecordRef &ref) override;
-    PageId directoryPid() const override;
     pm::Component mutationComponent() const override
     {
         // Updating the DRAM copy: Figure 7 "volatile buffer caching".
@@ -63,20 +58,15 @@ class BufferedTransaction : public Transaction, public btree::TxPageIO
     }
 
   private:
+    // --- EngineTransaction ------------------------------------------------
+    Result<PageId> allocate() override;
+    void dropPage(PageId pid, bool reusable) override;
+    Result<CommitPath> persist() override;
+    void discard() override;
+
     BufferedEngine &engine_;
-
-    /** Whole-transaction serialization (see file comment); taken in
-     *  the constructor, dropped when commit()/rollback() finishes.
-     *  A lock handed from constructor to commit() is beyond the
-     *  intraprocedural -Wthread-safety analysis: the methods that rely
-     *  on it re-assert the capability via Mutex::assertHeld()
-     *  (DESIGN.md §10). */
-    std::unique_lock<Mutex> txLock_;
-
     std::unordered_map<PageId, std::unique_ptr<page::BufferPageIO>>
         views_;
-    std::vector<PageId> allocs_;
-    std::vector<PageId> frees_;
 };
 
 /** Abstract base; see file comment. */
@@ -107,7 +97,7 @@ class BufferedEngine : public Engine
                               std::vector<std::uint8_t> &out) = 0;
 
     /** Engine-specific durable commit of the dirty page set. Called
-     *  from BufferedTransaction::commit() under the whole-transaction
+     *  from BufferedTransaction::persist() under the whole-transaction
      *  mutex. */
     virtual Status persistCommit(TxId txid,
                                  const std::vector<PageId> &dirty)
@@ -146,7 +136,7 @@ class NvwalEngine : public BufferedEngine
 
     EngineKind kind() const override { return EngineKind::Nvwal; }
     Status initFresh() override;
-    Status recover(wal::RecoveryBreakdown &breakdown) override;
+    Status recover(obs::RecoveryBreakdown &breakdown) override;
 
     wal::NvwalLog &walLog() { return nvwal_; }
 
@@ -170,7 +160,7 @@ class JournalEngine : public BufferedEngine
 
     EngineKind kind() const override { return EngineKind::Journal; }
     Status initFresh() override;
-    Status recover(wal::RecoveryBreakdown &breakdown) override;
+    Status recover(obs::RecoveryBreakdown &breakdown) override;
 
     wal::RollbackJournal &journal() { return journal_; }
 
@@ -194,7 +184,7 @@ class LegacyWalEngine : public BufferedEngine
 
     EngineKind kind() const override { return EngineKind::LegacyWal; }
     Status initFresh() override;
-    Status recover(wal::RecoveryBreakdown &breakdown) override;
+    Status recover(obs::RecoveryBreakdown &breakdown) override;
 
     wal::LegacyWal &walLog() { return wal_; }
 

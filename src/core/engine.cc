@@ -1,11 +1,13 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
 #include "core/buffered_engine.h"
 #include "core/fasp_engine.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "pm/device.h"
 
 namespace fasp::core {
@@ -21,6 +23,157 @@ engineKindName(EngineKind kind)
       case EngineKind::Journal: return "JOURNAL";
     }
     return "?";
+}
+
+namespace {
+
+/** The span profiler's name for @p path. */
+const char *
+commitPathName(CommitPath path)
+{
+    switch (path) {
+      case CommitPath::ReadOnly: return "read-only";
+      case CommitPath::InPlace: return "in-place";
+      case CommitPath::Logged: return "logged";
+    }
+    return "?";
+}
+
+} // namespace
+
+// --- EngineTransaction -------------------------------------------------------
+
+EngineTransaction::EngineTransaction(Engine &engine, TxId id, Mutex *serial)
+    : Transaction(id), engine_(engine)
+{
+    engine_.stats_.add(Engine::kTxBegun);
+    if (serial != nullptr)
+        serial_ = std::unique_lock<Mutex>(*serial);
+    engine_.device_.txBegin();
+    // The op-begin record is durable before any of this transaction's
+    // own persistence, so post-crash forensics can always name the
+    // in-flight operation (or prove there was none).
+    record(obs::FlightEventType::OpBegin, 0, 0);
+    obs::spanBegin(engineKindName(engine_.config_.kind),
+                   engine_.recorderEngineCode(), id);
+}
+
+std::size_t
+EngineTransaction::pageSize() const
+{
+    return engine_.sb_.pageSize;
+}
+
+PageId
+EngineTransaction::directoryPid() const
+{
+    return engine_.sb_.directoryPid;
+}
+
+void
+EngineTransaction::record(obs::FlightEventType type, PageId pid,
+                          std::uint64_t aux)
+{
+    if (auto *fr = engine_.flightRecorder())
+        fr->append(type, engine_.recorderEngineCode(), id_, pid, aux);
+}
+
+Result<PageId>
+EngineTransaction::allocPage()
+{
+    Result<PageId> pid = allocate();
+    if (!pid.isOk())
+        return pid;
+    allocs_.push_back(*pid);
+    // A page allocated while defragmenting is the copy target;
+    // anything else is tree growth (a split or a new root/leaf).
+    bool defrag = pm::currentThreadComponent() == pm::Component::Defrag;
+    record(defrag ? obs::FlightEventType::Defrag
+                  : obs::FlightEventType::PageSplit,
+           *pid, 0);
+    if (defrag)
+        obs::spanDefrag();
+    else
+        obs::spanSplit();
+    return pid;
+}
+
+void
+EngineTransaction::freePage(PageId pid)
+{
+    auto it = std::find(allocs_.begin(), allocs_.end(), pid);
+    bool reusable = it != allocs_.end();
+    if (reusable) {
+        // Allocated and freed within this transaction: it never became
+        // reachable, so it may be recycled immediately.
+        allocs_.erase(it);
+    } else {
+        // A live page must stay unavailable until commit: if this same
+        // transaction recycled it as a fresh page, FAST would overwrite
+        // its pre-commit (recovery) image in place and the buffered
+        // commit's freed-page cleanup would wipe the new contents.
+        frees_.push_back(pid);
+    }
+    dropPage(pid, reusable);
+}
+
+void
+EngineTransaction::closeWriteSet(bool committed)
+{
+    if (!writeSetOpen_)
+        return;
+    writeSetOpen_ = false;
+    engine_.device_.txEnd(committed);
+}
+
+Status
+EngineTransaction::commit()
+{
+    FASP_ASSERT(!finished_);
+    Result<CommitPath> path = persist();
+    if (!path.isOk())
+        return path.status();
+    end(/*committed=*/true, *path);
+    return Status::ok();
+}
+
+void
+EngineTransaction::rollback()
+{
+    if (finished_)
+        return;
+    discard();
+    end(/*committed=*/false, CommitPath::ReadOnly);
+}
+
+void
+EngineTransaction::end(bool committed, CommitPath path)
+{
+    allocs_.clear();
+    frees_.clear();
+    finished_ = true;
+    // Close the checker's write set before dropping exclusion, so no
+    // foreign store can land in it mid-check.
+    closeWriteSet(committed);
+    if (committed) {
+        record(obs::FlightEventType::CommitPoint, 0,
+               static_cast<std::uint64_t>(path));
+        engine_.stats_.add(Engine::kTxCommitted);
+        if (path == CommitPath::InPlace)
+            engine_.stats_.add(Engine::kInPlaceCommits);
+        else if (path == CommitPath::Logged)
+            engine_.stats_.add(Engine::kLogCommits);
+    } else {
+        record(obs::FlightEventType::Abort, 0, 0);
+        engine_.stats_.add(Engine::kTxRolledBack);
+    }
+    releaseLatches();
+    obs::spanEnd(committed, committed ? commitPathName(path) : nullptr);
+    if (serial_.owns_lock()) {
+        // fasp-analyze: allow(bare-mutex-lock) -- early release of the
+        // RAII transaction lock; its destructor stays the backstop.
+        serial_.unlock();
+    }
 }
 
 const EngineStats
@@ -90,17 +243,11 @@ Engine::create(pm::PmDevice &device, const EngineConfig &cfg,
         return engine;
     }
 
-    auto ns_since = [](std::chrono::steady_clock::time_point t0) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0).count());
-    };
-
     // Re-attach the recorder before recovery runs: the attach scan
     // repairs torn ring slots (part of the torn-record-repair phase)
     // and the RecoveryBegin/End markers bracket the pass in the
     // persistent timeline.
-    wal::RecoveryBreakdown breakdown;
+    obs::RecoveryBreakdown breakdown;
     obs::FlightRecorder *fr = engine->flightRecorder_.get();
     if (fr != nullptr) {
         auto attach_started = std::chrono::steady_clock::now();
@@ -113,7 +260,7 @@ Engine::create(pm::PmDevice &device, const EngineConfig &cfg,
             engine->flightRecorder_.reset();
             fr = nullptr;
         }
-        breakdown.repairNs += ns_since(attach_started);
+        breakdown.repairNs += obs::nsSince(attach_started);
         if (fr != nullptr) {
             fr->append(obs::FlightEventType::RecoveryBegin,
                        engine->recorderEngineCode(), 0, 0, 0);
@@ -124,7 +271,7 @@ Engine::create(pm::PmDevice &device, const EngineConfig &cfg,
     Status status = engine->recover(breakdown);
     if (!status.isOk())
         return status;
-    std::uint64_t elapsed = ns_since(started);
+    std::uint64_t elapsed = obs::nsSince(started);
     if (fr != nullptr) {
         fr->append(obs::FlightEventType::RecoveryEnd,
                    engine->recorderEngineCode(), 0, 0, elapsed);
@@ -132,15 +279,8 @@ Engine::create(pm::PmDevice &device, const EngineConfig &cfg,
 
     // Recovery is cold and fig12's recovery bench wants the numbers
     // without --metrics, so the ledger fold is unconditional.
-    obs::RecoveryLedger::Sample sample;
-    sample.phaseNs = {breakdown.scanNs, breakdown.replayNs,
-                      breakdown.discardNs, breakdown.repairNs};
-    sample.pagesScanned = breakdown.pagesScanned;
-    sample.recordsReplayed = breakdown.recordsReplayed;
-    sample.recordsDiscarded = breakdown.recordsDiscarded;
-    sample.tornRecords = breakdown.tornRecords;
     obs::RecoveryLedger::global().record(engineKindName(cfg.kind),
-                                         sample);
+                                         breakdown);
     return engine;
 }
 

@@ -1,5 +1,5 @@
-// fasp-analyze: allow-file(raw-std-sync) -- the tx-id allocator; nothing
-// here blocks or guards shared state.
+// fasp-analyze: allow-file(raw-std-sync) -- the tx-id allocator; the one
+// lock held here is a fasp::Mutex (EngineTransaction's serial_).
 /**
  * @file
  * Engine: the top-level storage-engine interface uniting the paper's
@@ -29,18 +29,20 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include "btree/btree.h"
 #include "btree/tx_page_io.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "pager/pager.h"
 #include "pm/pcas.h"
 #include "pm/thread_counters.h"
-#include "wal/recovery_stats.h"
 
 namespace fasp::pm {
 class PmDevice;
@@ -94,8 +96,8 @@ struct EngineStats
     pm::StatCount txBegun;
     pm::StatCount txCommitted;
     pm::StatCount txRolledBack;
-    pm::StatCount inPlaceCommits; //!< FAST fast path
-    pm::StatCount logCommits;     //!< slot-header-log commits
+    pm::StatCount inPlaceCommits; //!< CommitPath::InPlace commits
+    pm::StatCount logCommits;     //!< CommitPath::Logged commits
     pm::StatCount pcasFallbacks;  //!< FAST PCAS gave up
 };
 
@@ -132,6 +134,90 @@ class Transaction
 
     TxId id_;
     bool finished_ = false;
+};
+
+class Engine;
+
+/** How a transaction committed (paper §4.2). The value is the aux code
+ *  of its CommitPoint flight record; the span profiler gets the same
+ *  path by name ("read-only", "in-place", "logged"). */
+enum class CommitPath : std::uint8_t {
+    ReadOnly = 0, //!< nothing to persist
+    InPlace = 1,  //!< FAST: one PCAS of the leaf's header word 0
+    Logged = 2,   //!< slot-header log, WAL frames or rollback journal
+};
+
+/**
+ * The half of a transaction that does not depend on the commit
+ * protocol, shared by every engine (DESIGN.md §17): the checker's
+ * txBegin/txEnd bracket, the flight records and span hooks of begin,
+ * page allocation, commit and abort, the EngineStats counts, and the
+ * page-reuse rule of DESIGN.md §6. A family supplies page access,
+ * allocation and its commit protocol through the hooks below.
+ *
+ * Ordering: the constructor takes @p serial (the buffered engines'
+ * whole-transaction mutex) before the checker bracket, the OpBegin
+ * record and the span open; the end of a transaction closes the
+ * checker's write set, records the outcome, counts it, drops the page
+ * latches, closes the span and only then releases @p serial.
+ */
+class EngineTransaction : public Transaction, public btree::TxPageIO
+{
+  public:
+    btree::TxPageIO &pageIO() override { return *this; }
+    Status commit() override;
+    void rollback() override;
+
+    // --- TxPageIO ---------------------------------------------------------
+    std::size_t pageSize() const override;
+    PageId directoryPid() const override;
+    Result<PageId> allocPage() override;
+    void freePage(PageId pid) override;
+
+    EngineTransaction(const EngineTransaction &) = delete;
+    EngineTransaction &operator=(const EngineTransaction &) = delete;
+
+  protected:
+    EngineTransaction(Engine &engine, TxId id, Mutex *serial = nullptr);
+
+    /** Take a free page for this transaction (allocPage()). */
+    virtual Result<PageId> allocate() = 0;
+
+    /** Forget @p pid, which this transaction frees; @p reusable: it
+     *  was allocated by this same transaction, so it was never
+     *  reachable and goes back to the allocator now. */
+    virtual void dropPage(PageId pid, bool reusable) = 0;
+
+    /** Run the commit protocol over this transaction's changes. An
+     *  error leaves the transaction open. */
+    virtual Result<CommitPath> persist() = 0;
+
+    /** Drop this transaction's changes (rollback()). */
+    virtual void discard() = 0;
+
+    /** Release the page latches, if the family holds any. */
+    virtual void releaseLatches() {}
+
+    /** Close the checker's write set now: a commit protocol that must
+     *  do so before releasing its own mutex calls this from persist();
+     *  otherwise the end of the transaction does. */
+    void closeWriteSet(bool committed);
+
+    /** Append a flight record for this transaction (one load and a
+     *  branch while the recorder is off). */
+    void record(obs::FlightEventType type, PageId pid, std::uint64_t aux);
+
+    /** Pages allocated by this transaction, in order. */
+    std::vector<PageId> allocs_;
+    /** Live pages this transaction frees; released at commit. */
+    std::vector<PageId> frees_;
+
+  private:
+    void end(bool committed, CommitPath path);
+
+    Engine &engine_;
+    std::unique_lock<Mutex> serial_;
+    bool writeSetOpen_ = true;
 };
 
 /**
@@ -220,6 +306,8 @@ class Engine
     }
 
   protected:
+    friend class EngineTransaction;
+
     Engine(pm::PmDevice &device, const EngineConfig &cfg,
            const pager::Superblock &sb)
         : device_(device), config_(cfg), sb_(sb)
@@ -232,18 +320,11 @@ class Engine
      *  @p breakdown with the per-phase timings/counters of the pass
      *  (scan / log replay / log discard / torn-record repair), which
      *  create() folds into obs::RecoveryLedger. */
-    virtual Status recover(wal::RecoveryBreakdown &breakdown) = 0;
+    virtual Status recover(obs::RecoveryBreakdown &breakdown) = 0;
 
     TxId nextTxId()
     {
         return txCounter_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-
-    /** Flight recorder, or nullptr (transactions null-check per
-     *  event: the recorder-off path is one load and a branch). */
-    obs::FlightRecorder *recorder() const
-    {
-        return flightRecorder_.get();
     }
 
     /** Engine code stored in flight records (EngineKind + 1; 0 is

@@ -1,6 +1,5 @@
 #include "core/fasp_engine.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -36,7 +35,7 @@ FaspEngine::initFresh()
 }
 
 Status
-FaspEngine::recover(wal::RecoveryBreakdown &breakdown)
+FaspEngine::recover(obs::RecoveryBreakdown &breakdown)
 {
     PhaseScope phase(Component::Recovery);
     // Recovery is quiescent by contract; hold the log mutex anyway so
@@ -70,10 +69,7 @@ FaspEngine::recover(wal::RecoveryBreakdown &breakdown)
     // leaves the flag bit in a durable header word 0; strip it now
     // that the bitmap says which pages are live.
     sweepHeaderTags();
-    breakdown.repairNs += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - repair_started)
-            .count());
+    breakdown.repairNs += obs::nsSince(repair_started);
     return Status::ok();
 }
 
@@ -113,43 +109,18 @@ FaspEngine::sweepHeaderTags()
 std::unique_ptr<Transaction>
 FaspEngine::begin()
 {
-    stats_.add(kTxBegun);
     return std::make_unique<FaspTransaction>(*this, nextTxId());
 }
 
 // --- FaspTransaction ---------------------------------------------------------
 
 FaspTransaction::FaspTransaction(FaspEngine &engine, TxId id)
-    : Transaction(id), engine_(engine)
-{
-    engine_.device_.txBegin();
-    // The op-begin record is durable before any of this transaction's
-    // own persistence, so post-crash forensics can always name the
-    // in-flight operation (or prove there was none).
-    if (auto *fr = engine_.recorder()) {
-        fr->append(obs::FlightEventType::OpBegin,
-                   engine_.recorderEngineCode(), id, 0, 0);
-    }
-    obs::spanBegin(engineKindName(engine_.config_.kind),
-                   engine_.recorderEngineCode(), id);
-}
+    : EngineTransaction(engine, id), engine_(engine)
+{}
 
 FaspTransaction::~FaspTransaction()
 {
-    if (!finished_)
-        rollback();
-}
-
-std::size_t
-FaspTransaction::pageSize() const
-{
-    return engine_.sb_.pageSize;
-}
-
-PageId
-FaspTransaction::directoryPid() const
-{
-    return engine_.sb_.directoryPid;
+    rollback();
 }
 
 std::uint16_t
@@ -221,7 +192,7 @@ FaspTransaction::page(PageId pid, bool for_write)
 }
 
 Result<PageId>
-FaspTransaction::allocPage()
+FaspTransaction::allocate()
 {
     PageId pid;
     {
@@ -248,38 +219,16 @@ FaspTransaction::allocPage()
         engine_.sb_.pageSize, /*write_through=*/true);
     st.fresh = true;
     pages_[pid] = std::move(st);
-    allocs_.push_back(pid);
-    // A page allocated while defragmenting is the copy target;
-    // anything else is tree growth (a split or a new root/leaf).
-    bool defrag = pm::currentThreadComponent() == pm::Component::Defrag;
-    if (auto *fr = engine_.recorder()) {
-        fr->append(defrag ? obs::FlightEventType::Defrag
-                          : obs::FlightEventType::PageSplit,
-                   engine_.recorderEngineCode(), id_, pid, 0);
-    }
-    if (defrag)
-        obs::spanDefrag();
-    else
-        obs::spanSplit();
     return pid;
 }
 
 void
-FaspTransaction::freePage(PageId pid)
+FaspTransaction::dropPage(PageId pid, bool reusable)
 {
     latchPage(pid, /*exclusive=*/true);
-    auto it = std::find(allocs_.begin(), allocs_.end(), pid);
-    if (it != allocs_.end()) {
-        // Allocated and freed within this transaction: it was never
-        // reachable, so it can return to the allocator immediately.
-        allocs_.erase(it);
+    if (reusable) {
         MutexLock lk(&engine_.allocMutex_);
         engine_.allocator_.free(pid);
-    } else {
-        // Freeing a live page: it must stay unavailable until commit,
-        // or an intra-transaction reuse would overwrite its pre-commit
-        // (recovery) image in place.
-        frees_.push_back(pid);
     }
     // Whatever this transaction stored into the page is now dead data:
     // it will never be flushed, by design.
@@ -308,10 +257,8 @@ FaspTransaction::applyReclaims()
 }
 
 void
-FaspTransaction::rollback()
+FaspTransaction::discard()
 {
-    if (finished_)
-        return;
     // In-place content writes landed in durable free space and are
     // simply forgotten; shadow headers never reached PM.
     if (!allocs_.empty()) {
@@ -319,20 +266,6 @@ FaspTransaction::rollback()
         for (PageId pid : allocs_)
             engine_.allocator_.free(pid);
     }
-    pages_.clear();
-    allocs_.clear();
-    frees_.clear();
-    finished_ = true;
-    // Close the checker's write set before dropping exclusion, so no
-    // foreign store can land in it mid-check.
-    engine_.device_.txEnd(/*committed=*/false);
-    if (auto *fr = engine_.recorder()) {
-        fr->append(obs::FlightEventType::Abort,
-                   engine_.recorderEngineCode(), id_, 0, 0);
-    }
-    releaseLatches();
-    engine_.stats_.add(FaspEngine::kTxRolledBack);
-    obs::spanEnd(/*committed=*/false, nullptr);
 }
 
 Status
@@ -355,7 +288,6 @@ FaspTransaction::commitInPlace(PageState &st)
         PhaseScope phase(Component::CommitMisc);
         applyReclaims();
     }
-    engine_.stats_.add(FaspEngine::kInPlaceCommits);
     return Status::ok();
 }
 
@@ -447,16 +379,13 @@ FaspTransaction::commitLogged()
                 engine_.allocator_.free(pid);
         }
     }
-    engine_.stats_.add(FaspEngine::kLogCommits);
-    engine_.device_.txEnd(/*committed=*/true);
+    closeWriteSet(/*committed=*/true);
     return Status::ok();
 }
 
-Status
-FaspTransaction::commit()
+Result<CommitPath>
+FaspTransaction::persist()
 {
-    FASP_ASSERT(!finished_);
-
     // Classify the transaction (paper §4.2: FAST checks whether the
     // transaction modified multiple pages, overflowed, or defragged).
     PageState *modified = nullptr;
@@ -468,58 +397,31 @@ FaspTransaction::commit()
         }
     }
 
-    Status status = Status::ok();
-    bool logged = false;
-    const char *commit_path = "read-only";
+    CommitPath path = CommitPath::Logged;
     if (modified_count == 0 && allocs_.empty() && frees_.empty()) {
         // Read-only transaction: nothing to persist.
+        path = CommitPath::ReadOnly;
     } else if (engine_.config_.kind == EngineKind::Fast &&
                modified_count == 1 && allocs_.empty() &&
                frees_.empty() && !modified->fresh &&
                modified->io->headerDirty() &&
                modified->io->oneWordCommittable()) {
-        status = commitInPlace(*modified);
-        commit_path = "in-place";
+        Status status = commitInPlace(*modified);
         if (status.code() == StatusCode::TxConflict) {
             // The PCAS lost or spent its retries: fall back to
             // slot-header logging (paper §3.2 footnote 1).
-            if (auto *fr = engine_.recorder()) {
-                fr->append(obs::FlightEventType::Fallback,
-                           engine_.recorderEngineCode(), id_, 0, 0);
-            }
-            status = commitLogged();
-            logged = status.isOk();
-            commit_path = "logged";
+            record(obs::FlightEventType::Fallback, 0, 0);
+        } else {
+            FASP_RETURN_IF_ERROR(status);
+            path = CommitPath::InPlace;
         }
-    } else {
-        status = commitLogged();
-        logged = status.isOk();
-        commit_path = "logged";
     }
-
-    if (!status.isOk())
-        return status;
-    pages_.clear();
-    allocs_.clear();
-    frees_.clear();
-    finished_ = true;
-    // The logged path already ran txEnd under the log mutex; the other
-    // paths run it here, still under this transaction's page latches.
-    if (!logged)
-        engine_.device_.txEnd(/*committed=*/true);
-    if (auto *fr = engine_.recorder()) {
-        // aux encodes the commit path: 0 read-only, 1 in-place,
-        // 2 slot-header-logged.
-        std::uint64_t path_code = logged ? 2 : 0;
-        if (!logged && commit_path[0] == 'i')
-            path_code = 1;
-        fr->append(obs::FlightEventType::CommitPoint,
-                   engine_.recorderEngineCode(), id_, 0, path_code);
-    }
-    engine_.stats_.add(FaspEngine::kTxCommitted);
-    releaseLatches();
-    obs::spanEnd(/*committed=*/true, commit_path);
-    return Status::ok();
+    // The logged commit closes the checker's write set under the log
+    // mutex; the other paths leave it to the end of the transaction,
+    // still under this transaction's page latches.
+    if (path == CommitPath::Logged)
+        FASP_RETURN_IF_ERROR(commitLogged());
+    return path;
 }
 
 } // namespace fasp::core

@@ -53,23 +53,15 @@ namespace fasp::core {
 class FaspEngine;
 
 /** Transaction for FAST/FASH; see file comment. */
-class FaspTransaction : public Transaction, public btree::TxPageIO
+class FaspTransaction : public EngineTransaction
 {
   public:
     FaspTransaction(FaspEngine &engine, TxId id);
     ~FaspTransaction() override;
 
-    btree::TxPageIO &pageIO() override { return *this; }
-    Status commit() override;
-    void rollback() override;
-
     // --- TxPageIO ---------------------------------------------------------
-    std::size_t pageSize() const override;
     page::PageIO &page(PageId pid, bool for_write) override;
-    Result<PageId> allocPage() override;
-    void freePage(PageId pid) override;
     void deferReclaim(PageId pid, const page::RecordRef &ref) override;
-    PageId directoryPid() const override;
     pm::Component mutationComponent() const override
     {
         return pm::Component::InPlaceInsert;
@@ -85,6 +77,12 @@ class FaspTransaction : public Transaction, public btree::TxPageIO
     };
 
     enum class LatchMode : std::uint8_t { Shared, Exclusive };
+
+    // --- EngineTransaction ------------------------------------------------
+    Result<PageId> allocate() override;
+    void dropPage(PageId pid, bool reusable) override;
+    Result<CommitPath> persist() override;
+    void discard() override;
 
     PageState &state(PageId pid);
     Status commitInPlace(PageState &st);
@@ -103,12 +101,13 @@ class FaspTransaction : public Transaction, public btree::TxPageIO
      *  instead (DESIGN.md §10). */
     void latchPage(PageId pid, bool exclusive)
         NO_THREAD_SAFETY_ANALYSIS;
-    void releaseLatches() NO_THREAD_SAFETY_ANALYSIS;
+    void releaseLatches() override NO_THREAD_SAFETY_ANALYSIS;
 
     FaspEngine &engine_;
+    /** This transaction's private page views. Commit and rollback
+     *  leave them to the destructor, which frees them after
+     *  releaseLatches() instead of inside the latch window. */
     std::unordered_map<PageId, PageState> pages_;
-    std::vector<PageId> allocs_;
-    std::vector<PageId> frees_;
     std::unordered_map<PageId, LatchMode> latches_;
 };
 
@@ -121,7 +120,7 @@ class FaspEngine : public Engine
 
     EngineKind kind() const override { return config_.kind; }
     std::unique_ptr<Transaction> begin() override;
-    Status recover(wal::RecoveryBreakdown &breakdown) override;
+    Status recover(obs::RecoveryBreakdown &breakdown) override;
 
     Status initFresh() override;
 

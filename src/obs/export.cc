@@ -6,9 +6,6 @@
 
 namespace fasp::obs {
 
-namespace {
-
-/** Append @p s as a JSON string literal (quoted, escaped). */
 void
 appendJsonString(std::string &out, std::string_view s)
 {
@@ -32,6 +29,8 @@ appendJsonString(std::string &out, std::string_view s)
     }
     out += '"';
 }
+
+namespace {
 
 void
 appendU64(std::string &out, std::uint64_t v)
@@ -132,7 +131,7 @@ exportJson(const std::string &benchName,
     std::string out;
     out += "{\n  \"bench\": ";
     appendJsonString(out, benchName);
-    out += ",\n  \"schema_version\": 6";
+    out += ",\n  \"schema_version\": 7";
 
     out += ",\n  \"counters\": {";
     bool first = true;
@@ -143,18 +142,6 @@ exportJson(const std::string &benchName,
         appendJsonString(out, name);
         out += ": ";
         appendU64(out, value);
-    }
-    out += first ? "}" : "\n  }";
-
-    out += ",\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, value] : registry.gauges()) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    ";
-        appendJsonString(out, name);
-        out += ": ";
-        out += std::to_string(value);
     }
     out += first ? "}" : "\n  }";
 

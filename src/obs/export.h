@@ -13,16 +13,22 @@
 #define FASP_OBS_EXPORT_H
 
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace fasp::obs {
 
-/** Render everything as a JSON document (schema_version 6: latch
- *  contention keyed by page — `latch_contention` keeps totals and one
- *  merged histogram, `page_heat` entries gain `latch_waits` and
- *  `latch_wait_ns`, outliers name `hot_latch_page`; v5 dropped the
+/** Append @p s to @p out as a JSON string literal (quoted, escaped).
+ *  Every JSON report in src/ writes its strings through this. */
+void appendJsonString(std::string &out, std::string_view s);
+
+/** Render everything as a JSON document (schema_version 7: the
+ *  `gauges` object is gone; v6 keyed latch contention by page —
+ *  `latch_contention` keeps totals and one merged histogram,
+ *  `page_heat` entries gain `latch_waits` and `latch_wait_ns`,
+ *  outliers name `hot_latch_page`; v5 dropped the
  *  trace-ring section and the outliers' trace slices; v4 added the
  *  span-profiler sections `spans`, `latch_contention`, `page_heat`,
  *  and `outliers`; v3 added the `core.pcas.*` counters; v2 added the

@@ -111,18 +111,6 @@ MetricsRegistry::counter(std::string_view name)
     return *it->second;
 }
 
-Gauge &
-MetricsRegistry::gauge(std::string_view name)
-{
-    MutexLock lk(&mu_);
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-        it = gauges_.emplace(std::string(name),
-                             std::make_unique<Gauge>()).first;
-    }
-    return *it->second;
-}
-
 Histogram &
 MetricsRegistry::histogram(std::string_view name)
 {
@@ -143,17 +131,6 @@ MetricsRegistry::counters() const
     out.reserve(counters_.size());
     for (const auto &[name, c] : counters_)
         out.emplace_back(name, c->value());
-    return out;
-}
-
-std::vector<std::pair<std::string, std::int64_t>>
-MetricsRegistry::gauges() const
-{
-    MutexLock lk(&mu_);
-    std::vector<std::pair<std::string, std::int64_t>> out;
-    out.reserve(gauges_.size());
-    for (const auto &[name, g] : gauges_)
-        out.emplace_back(name, g->value());
     return out;
 }
 
@@ -194,8 +171,6 @@ MetricsRegistry::reset()
     MutexLock lk(&mu_);
     for (auto &[name, c] : counters_)
         c->reset();
-    for (auto &[name, g] : gauges_)
-        g->reset();
     for (auto &[name, h] : histograms_)
         h->reset();
 }
@@ -276,7 +251,8 @@ RecoveryLedger::global()
 }
 
 void
-RecoveryLedger::record(std::string_view engine, const Sample &sample)
+RecoveryLedger::record(std::string_view engine,
+                       const RecoveryBreakdown &pass)
 {
     MutexLock lk(&mu_);
     Entry *entry = nullptr;
@@ -292,12 +268,15 @@ RecoveryLedger::record(std::string_view engine, const Sample &sample)
         entry->engine = std::string(engine);
     }
     entry->recoveries++;
-    entry->pagesScanned += sample.pagesScanned;
-    entry->recordsReplayed += sample.recordsReplayed;
-    entry->recordsDiscarded += sample.recordsDiscarded;
-    entry->tornRecords += sample.tornRecords;
+    entry->pagesScanned += pass.pagesScanned;
+    entry->recordsReplayed += pass.recordsReplayed;
+    entry->recordsDiscarded += pass.recordsDiscarded;
+    entry->tornRecords += pass.tornRecords;
+    // Indexed by RecoveryPhase.
+    const std::uint64_t phase_ns[kNumRecoveryPhases] = {
+        pass.scanNs, pass.replayNs, pass.discardNs, pass.repairNs};
     for (std::size_t i = 0; i < kNumRecoveryPhases; ++i)
-        entry->phaseNs[i].record(sample.phaseNs[i]);
+        entry->phaseNs[i].record(phase_ns[i]);
 }
 
 std::vector<RecoveryLedger::EntrySnapshot>

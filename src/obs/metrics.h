@@ -2,10 +2,10 @@
 // monotonic counters only, never synchronization of engine state.
 /**
  * @file
- * Observability metrics: named counters, gauges, and latency
- * histograms, plus the per-engine fold of PM-ledger windows that
- * reproduces the paper's Fig-8 per-phase flush/fence/cycle breakdown
- * at runtime (DESIGN.md §11).
+ * Observability metrics: named counters and latency histograms, plus
+ * the per-engine fold of PM-ledger windows that reproduces the paper's
+ * Fig-8 per-phase flush/fence/cycle breakdown at runtime (DESIGN.md
+ * §11).
  *
  * Cost model: everything here is relaxed atomics, and every record
  * site is guarded by obs::enabled() (one relaxed atomic-bool load), so
@@ -14,7 +14,7 @@
  * in their own stats structs; bench_util folds those into registry
  * counters after a run (DESIGN.md §11).
  *
- * Thread safety: Counter / Gauge / Histogram are safe to record from
+ * Thread safety: Counter / Histogram are safe to record from
  * any number of threads. MetricsRegistry name lookup
  * takes a Mutex — hot paths cache the returned reference (stable
  * address for the registry's lifetime) in a function-local static.
@@ -28,6 +28,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -70,31 +71,6 @@ class Counter
 
   private:
     std::atomic<std::uint64_t> value_{0};
-};
-
-/** Last-write-wins instantaneous value (signed: deltas allowed). */
-class Gauge
-{
-  public:
-    void set(std::int64_t v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    void add(std::int64_t n)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    std::int64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::int64_t> value_{0};
 };
 
 /**
@@ -186,16 +162,11 @@ class MetricsRegistry
     static MetricsRegistry &global();
 
     Counter &counter(std::string_view name) EXCLUDES(mu_);
-    Gauge &gauge(std::string_view name) EXCLUDES(mu_);
     Histogram &histogram(std::string_view name) EXCLUDES(mu_);
 
     /** Sorted (name, value) view of every counter. */
     std::vector<std::pair<std::string, std::uint64_t>>
     counters() const EXCLUDES(mu_);
-
-    /** Sorted (name, value) view of every gauge. */
-    std::vector<std::pair<std::string, std::int64_t>>
-    gauges() const EXCLUDES(mu_);
 
     /** Sorted (name, snapshot) view of every histogram. */
     std::vector<std::pair<std::string, HistogramSnapshot>>
@@ -209,8 +180,6 @@ class MetricsRegistry
     // unique_ptr storage gives metrics stable addresses across rehash.
     std::map<std::string, std::unique_ptr<Counter>, std::less<>>
         counters_ GUARDED_BY(mu_);
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>>
-        gauges_ GUARDED_BY(mu_);
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
         histograms_ GUARDED_BY(mu_);
 };
@@ -262,8 +231,41 @@ constexpr std::size_t kNumRecoveryPhases = 4;
 const char *recoveryPhaseName(RecoveryPhase phase);
 
 /**
- * Per-engine recovery accounting: one sample per recover() pass, split
- * into the four recovery phases plus scan/replay/discard counters.
+ * One crash-recovery pass, filled by each log manager's recover() and
+ * the engine layer, and folded into the RecoveryLedger. The four
+ * phases follow the shape every recovery here shares:
+ *   scan        walk the durable log/heap/ring and validate framing
+ *   replay      apply surviving committed records to the image
+ *   discard     drop uncommitted or stale records
+ *   torn repair rebuild state damaged mid-write (free-list rebuild,
+ *               flight-recorder slot zeroing, journal invalidation)
+ */
+struct RecoveryBreakdown
+{
+    std::uint64_t scanNs = 0;
+    std::uint64_t replayNs = 0;
+    std::uint64_t discardNs = 0;
+    std::uint64_t repairNs = 0;
+
+    std::uint64_t pagesScanned = 0;     //!< pages / frames / slots read
+    std::uint64_t recordsReplayed = 0;  //!< committed records applied
+    std::uint64_t recordsDiscarded = 0; //!< uncommitted/stale dropped
+    std::uint64_t tornRecords = 0;      //!< CRC-invalid records repaired
+};
+
+/** Steady-clock nanoseconds from @p t0 to now (recovery phase timing). */
+inline std::uint64_t
+nsSince(std::chrono::steady_clock::time_point t0)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+}
+
+/**
+ * Per-engine recovery accounting: one RecoveryBreakdown per recover()
+ * pass, its phases kept as histograms and its counters summed.
  * Unlike the hot-path metrics this ledger is NOT gated on
  * obs::enabled() — recovery is cold, and tools (fig12's recovery
  * bench, the exporters' `recovery` section) want the numbers even when
@@ -272,16 +274,6 @@ const char *recoveryPhaseName(RecoveryPhase phase);
 class RecoveryLedger
 {
   public:
-    /** One recover() pass, as reported by the engine layer. */
-    struct Sample
-    {
-        std::array<std::uint64_t, kNumRecoveryPhases> phaseNs{};
-        std::uint64_t pagesScanned = 0;
-        std::uint64_t recordsReplayed = 0;
-        std::uint64_t recordsDiscarded = 0;
-        std::uint64_t tornRecords = 0;
-    };
-
     /** Exporter-facing view of one engine's accumulated recoveries. */
     struct EntrySnapshot
     {
@@ -296,7 +288,7 @@ class RecoveryLedger
 
     static RecoveryLedger &global();
 
-    void record(std::string_view engine, const Sample &sample)
+    void record(std::string_view engine, const RecoveryBreakdown &pass)
         EXCLUDES(mu_);
 
     std::vector<EntrySnapshot> entries() const EXCLUDES(mu_);

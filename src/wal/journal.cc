@@ -103,28 +103,23 @@ RollbackJournal::invalidate()
 }
 
 Result<bool>
-RollbackJournal::recover(RecoveryBreakdown *breakdown)
+RollbackJournal::recover(obs::RecoveryBreakdown *breakdown)
 {
     pm::SiteScope site(device_, "RollbackJournal::recover");
-    RecoveryBreakdown local;
-    RecoveryBreakdown &bd = breakdown != nullptr ? *breakdown : local;
-    auto ns_since = [](std::chrono::steady_clock::time_point t0) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0).count());
-    };
+    obs::RecoveryBreakdown local;
+    obs::RecoveryBreakdown &bd = breakdown != nullptr ? *breakdown : local;
     auto scan_started = std::chrono::steady_clock::now();
 
     std::uint8_t header[16];
     device_.read(region_.off, header, sizeof(header));
     if (loadU32(header) != kMagic) {
         format();
-        bd.scanNs += ns_since(scan_started);
+        bd.scanNs += obs::nsSince(scan_started);
         return false;
     }
     std::uint32_t count = loadU32(header + 4);
     if (count == 0) {
-        bd.scanNs += ns_since(scan_started);
+        bd.scanNs += obs::nsSince(scan_started);
         return false;
     }
 
@@ -135,11 +130,11 @@ RollbackJournal::recover(RecoveryBreakdown *breakdown)
         PmOffset off = entryOff(i);
         if (off + entry.size() > region_.end()) {
             // Header lies: treat as unsealed (torn mid-seal).
-            bd.scanNs += ns_since(scan_started);
+            bd.scanNs += obs::nsSince(scan_started);
             auto repair_started = std::chrono::steady_clock::now();
             invalidate();
             bd.tornRecords = 1;
-            bd.repairNs += ns_since(repair_started);
+            bd.repairNs += obs::nsSince(repair_started);
             return false;
         }
         device_.read(off, entry.data(), entry.size());
@@ -147,14 +142,14 @@ RollbackJournal::recover(RecoveryBreakdown *breakdown)
         bd.pagesScanned++;
     }
     if (crc != loadU32(header + 8)) {
-        bd.scanNs += ns_since(scan_started);
+        bd.scanNs += obs::nsSince(scan_started);
         auto repair_started = std::chrono::steady_clock::now();
         invalidate();
         bd.tornRecords = 1;
-        bd.repairNs += ns_since(repair_started);
+        bd.repairNs += obs::nsSince(repair_started);
         return false;
     }
-    bd.scanNs += ns_since(scan_started);
+    bd.scanNs += obs::nsSince(scan_started);
 
     // Sealed journal: roll the original pages back.
     auto replay_started = std::chrono::steady_clock::now();
@@ -168,11 +163,11 @@ RollbackJournal::recover(RecoveryBreakdown *breakdown)
         bd.recordsReplayed++;
     }
     device_.sfence();
-    bd.replayNs += ns_since(replay_started);
+    bd.replayNs += obs::nsSince(replay_started);
 
     auto discard_started = std::chrono::steady_clock::now();
     invalidate();
-    bd.discardNs += ns_since(discard_started);
+    bd.discardNs += obs::nsSince(discard_started);
     return true;
 }
 

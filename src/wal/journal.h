@@ -27,8 +27,8 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "pager/superblock.h"
-#include "wal/recovery_stats.h"
 
 namespace fasp::pm {
 class PmDevice;
@@ -64,7 +64,7 @@ class RollbackJournal
      * @p breakdown (optional) receives per-phase timings/counters.
      * @return true if a rollback was performed.
      */
-    Result<bool> recover(RecoveryBreakdown *breakdown = nullptr);
+    Result<bool> recover(obs::RecoveryBreakdown *breakdown = nullptr);
 
   private:
     static constexpr std::uint32_t kMagic = 0x4a524e4cu; // "JRNL"

@@ -170,16 +170,11 @@ LegacyWal::checkpoint()
 }
 
 Status
-LegacyWal::recover(RecoveryBreakdown *breakdown)
+LegacyWal::recover(obs::RecoveryBreakdown *breakdown)
 {
     pm::SiteScope site(device_, "LegacyWal::recover");
-    RecoveryBreakdown local;
-    RecoveryBreakdown &bd = breakdown != nullptr ? *breakdown : local;
-    auto ns_since = [](std::chrono::steady_clock::time_point t0) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0).count());
-    };
+    obs::RecoveryBreakdown local;
+    obs::RecoveryBreakdown &bd = breakdown != nullptr ? *breakdown : local;
     auto scan_started = std::chrono::steady_clock::now();
     ensureAttached();
     index_.clear();
@@ -240,7 +235,7 @@ LegacyWal::recover(RecoveryBreakdown *breakdown)
     }
     writeOff_ = cursor;
     nextSeq_ = max_seq + 1;
-    bd.scanNs += ns_since(scan_started);
+    bd.scanNs += obs::nsSince(scan_started);
 
     auto replay_started = std::chrono::steady_clock::now();
     std::sort(frames.begin(), frames.end(),
@@ -255,7 +250,7 @@ LegacyWal::recover(RecoveryBreakdown *breakdown)
             bd.recordsDiscarded++;
         }
     }
-    bd.replayNs += ns_since(replay_started);
+    bd.replayNs += obs::nsSince(replay_started);
     return Status::ok();
 }
 

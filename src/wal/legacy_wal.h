@@ -29,8 +29,8 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "pager/superblock.h"
-#include "wal/recovery_stats.h"
 
 namespace fasp::pm {
 class PmDevice;
@@ -56,7 +56,7 @@ class LegacyWal
     /** Rebuild the frame index after restart/crash: committed frames
      *  are indexed, an uncommitted tail is ignored. @p breakdown
      *  (optional) receives per-phase timings/counters. */
-    Status recover(RecoveryBreakdown *breakdown = nullptr);
+    Status recover(obs::RecoveryBreakdown *breakdown = nullptr);
 
     /** Append full-page frames + commit frame; flush; index. */
     Status commitTx(TxId txid, std::span<const WalDirtyPage> pages);

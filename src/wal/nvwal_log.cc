@@ -251,16 +251,11 @@ NvwalLog::checkpoint()
 }
 
 Status
-NvwalLog::recover(RecoveryBreakdown *breakdown)
+NvwalLog::recover(obs::RecoveryBreakdown *breakdown)
 {
     pm::SiteScope site(device_, "NvwalLog::recover");
-    RecoveryBreakdown local;
-    RecoveryBreakdown &bd = breakdown != nullptr ? *breakdown : local;
-    auto ns_since = [](std::chrono::steady_clock::time_point t0) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0).count());
-    };
+    obs::RecoveryBreakdown local;
+    obs::RecoveryBreakdown &bd = breakdown != nullptr ? *breakdown : local;
     auto scan_started = std::chrono::steady_clock::now();
 
     index_.clear();
@@ -338,7 +333,7 @@ NvwalLog::recover(RecoveryBreakdown *breakdown)
         lastTxid_ = std::max(lastTxid_, raw.txid);
     }
     nextSeq_ = max_seq + 1;
-    bd.scanNs += ns_since(scan_started);
+    bd.scanNs += obs::nsSince(scan_started);
 
     auto replay_started = std::chrono::steady_clock::now();
     std::vector<RawFrame> keep;
@@ -359,13 +354,13 @@ NvwalLog::recover(RecoveryBreakdown *breakdown)
     for (const RawFrame &raw : keep)
         index_[raw.pid].push_back(FrameLoc{raw.seq, raw.off, raw.size});
     bd.recordsReplayed = keep.size();
-    bd.replayNs += ns_since(replay_started);
+    bd.replayNs += obs::nsSince(replay_started);
 
     auto discard_started = std::chrono::steady_clock::now();
     for (PmOffset off : drop)
         heap_.pfree(off);
     bd.recordsDiscarded = drop.size();
-    bd.discardNs += ns_since(discard_started);
+    bd.discardNs += obs::nsSince(discard_started);
 
     // Torn-record repair: a frame whose CRC or framing failed was torn
     // mid-append; releasing its heap block removes it for good.
@@ -373,7 +368,7 @@ NvwalLog::recover(RecoveryBreakdown *breakdown)
     for (PmOffset off : bad_frames)
         heap_.pfree(off);
     bd.tornRecords = bad_frames.size();
-    bd.repairNs += ns_since(repair_started);
+    bd.repairNs += obs::nsSince(repair_started);
     return Status::ok();
 }
 

@@ -38,9 +38,9 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "pager/superblock.h"
 #include "wal/nv_heap.h"
-#include "wal/recovery_stats.h"
 
 namespace fasp::pm {
 class PmDevice;
@@ -71,7 +71,7 @@ class NvwalLog
     /** Attach after restart/crash: scan the heap, rebuild the WAL
      *  index from committed frames, discard uncommitted ones.
      *  @p breakdown (optional) receives per-phase timings/counters. */
-    Status recover(RecoveryBreakdown *breakdown = nullptr);
+    Status recover(obs::RecoveryBreakdown *breakdown = nullptr);
 
     /**
      * Commit @p pages under @p txid: diff, allocate, store, flush,

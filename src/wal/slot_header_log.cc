@@ -230,16 +230,11 @@ SlotHeaderLog::truncate()
 }
 
 Result<SlotHeaderRecovery>
-SlotHeaderLog::recover(RecoveryBreakdown *breakdown)
+SlotHeaderLog::recover(obs::RecoveryBreakdown *breakdown)
 {
     pm::SiteScope site(device_, "SlotHeaderLog::recover");
-    RecoveryBreakdown local;
-    RecoveryBreakdown &bd = breakdown != nullptr ? *breakdown : local;
-    auto ns_since = [](std::chrono::steady_clock::time_point t0) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0).count());
-    };
+    obs::RecoveryBreakdown local;
+    obs::RecoveryBreakdown &bd = breakdown != nullptr ? *breakdown : local;
     auto scan_started = std::chrono::steady_clock::now();
 
     ensureAttached();
@@ -273,7 +268,7 @@ SlotHeaderLog::recover(RecoveryBreakdown *breakdown)
             if (logged_crc != crc)
                 break; // torn commit mark: not committed
             // Replay this committed batch (idempotent).
-            bd.scanNs += ns_since(scan_started);
+            bd.scanNs += obs::nsSince(scan_started);
             pending_ = std::move(batch);
             bd.recordsReplayed = pending_.size();
             for (const PendingEntry &entry : pending_) {
@@ -282,7 +277,7 @@ SlotHeaderLog::recover(RecoveryBreakdown *breakdown)
             }
             auto replay_started = std::chrono::steady_clock::now();
             FASP_RETURN_IF_ERROR(checkpointAndTruncate());
-            bd.replayNs += ns_since(replay_started);
+            bd.replayNs += obs::nsSince(replay_started);
             result.replayed = true;
             // Eager checkpointing means one tx per log; stop here.
             return result;
@@ -337,13 +332,13 @@ SlotHeaderLog::recover(RecoveryBreakdown *breakdown)
 
     // No valid commit mark: discard everything (paper §4.4 — the
     // original pages were never altered, so recovery is trivial).
-    bd.scanNs += ns_since(scan_started);
+    bd.scanNs += obs::nsSince(scan_started);
     auto discard_started = std::chrono::steady_clock::now();
     if (!batch.empty())
         bd.recordsDiscarded = batch.size();
     truncate();
     begin();
-    bd.discardNs += ns_since(discard_started);
+    bd.discardNs += obs::nsSince(discard_started);
     return result;
 }
 

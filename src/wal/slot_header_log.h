@@ -38,8 +38,8 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "pager/superblock.h"
-#include "wal/recovery_stats.h"
 
 namespace fasp::pm {
 class PmDevice;
@@ -118,7 +118,7 @@ class SlotHeaderLog
      * @p breakdown (optional) receives per-phase timings/counters.
      */
     Result<SlotHeaderRecovery> recover(
-        RecoveryBreakdown *breakdown = nullptr);
+        obs::RecoveryBreakdown *breakdown = nullptr);
 
     /** Bytes of log space a header entry for @p header_len consumes. */
     static std::size_t pageHeaderEntryBytes(std::size_t header_len)

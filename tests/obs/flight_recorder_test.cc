@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "btree/btree.h"
@@ -271,55 +272,94 @@ TEST(FlightRecorderTest, RecorderOffEnginePathHasNoFootprint)
     EXPECT_GT(events_a, 0u);
 }
 
-TEST(FlightRecorderTest, EngineEmitsOpEventsWhenEnabled)
+/** (type, aux) of every durable record of transaction @p txid, in
+ *  sequence order. */
+std::vector<std::pair<FlightEventType, std::uint64_t>>
+eventsOf(const PmDevice &device, std::uint64_t txid)
 {
-    FlightRecorder::setEnabled(true);
-    PmConfig cfg;
-    cfg.size = 16u << 20;
-    cfg.mode = PmMode::CacheSim;
-    PmDevice device(cfg);
-    core::EngineConfig ecfg;
-    ecfg.kind = core::EngineKind::Fast;
-    ecfg.format.logLen = 1u << 20;
-    auto engine_res = core::Engine::create(device, ecfg, true);
-    ASSERT_TRUE(engine_res.isOk());
-    auto engine = std::move(*engine_res);
-    ASSERT_NE(engine->flightRecorder(), nullptr);
-    auto tree_res = engine->createTree(1);
-    ASSERT_TRUE(tree_res.isOk());
-
-    std::array<std::uint8_t, 32> v{};
-    ASSERT_TRUE(
-        engine->insert(*tree_res, 1, std::span<const std::uint8_t>(v))
-            .isOk());
-    FlightRecorder::setEnabled(false);
-
-    // The committed insert must have left an OpBegin/CommitPoint pair
-    // in the durable region.
-    const std::uint8_t *base = device.durableData();
     // Region location comes from the superblock (offset 44/52).
+    const std::uint8_t *base = device.durableData();
     std::uint64_t fr_off = 0;
     std::uint64_t fr_len = 0;
     std::memcpy(&fr_off, base + 44, 8);
     std::memcpy(&fr_len, base + 52, 8);
-    ASSERT_NE(fr_len, 0u);
-    auto records =
-        FlightRecorder::decodeRegion(base + fr_off, fr_len);
-    bool begin_seen = false;
-    bool commit_seen = false;
-    std::uint64_t last_txid = 0;
-    for (const FlightRecord &rec : records) {
-        if (rec.type == FlightEventType::OpBegin) {
-            begin_seen = true;
-            last_txid = rec.txid;
-        }
-        if (rec.type == FlightEventType::CommitPoint &&
-            rec.txid == last_txid) {
-            commit_seen = true;
-        }
+    std::vector<std::pair<FlightEventType, std::uint64_t>> out;
+    for (const FlightRecord &rec :
+         FlightRecorder::decodeRegion(base + fr_off, fr_len)) {
+        if (rec.txid == txid)
+            out.emplace_back(rec.type, rec.aux);
     }
-    EXPECT_TRUE(begin_seen);
-    EXPECT_TRUE(commit_seen);
+    return out;
+}
+
+TEST(FlightRecorderTest, EngineEmitsOpEventsWhenEnabled)
+{
+    // Every engine reports begin, commit and abort the same way: an
+    // insert leaves OpBegin then CommitPoint with its commit path in
+    // aux (1 in-place, 2 logged), a read-only commit leaves aux 0 and
+    // counts as neither commit kind, and a rollback leaves Abort.
+    using Events = std::vector<std::pair<FlightEventType, std::uint64_t>>;
+    for (core::EngineKind kind :
+         {core::EngineKind::Fast, core::EngineKind::Fash,
+          core::EngineKind::Nvwal, core::EngineKind::LegacyWal,
+          core::EngineKind::Journal}) {
+        SCOPED_TRACE(core::engineKindName(kind));
+        FlightRecorder::setEnabled(true);
+        PmConfig cfg;
+        cfg.size = 16u << 20;
+        cfg.mode = PmMode::CacheSim;
+        PmDevice device(cfg);
+        core::EngineConfig ecfg;
+        ecfg.kind = kind;
+        ecfg.format.logLen = 1u << 20;
+        auto engine_res = core::Engine::create(device, ecfg, true);
+        FlightRecorder::setEnabled(false);
+        ASSERT_TRUE(engine_res.isOk());
+        auto engine = std::move(*engine_res);
+        ASSERT_NE(engine->flightRecorder(), nullptr);
+        auto tree = engine->createTree(1);
+        ASSERT_TRUE(tree.isOk());
+        std::array<std::uint8_t, 32> v{};
+
+        const core::EngineStats s0 = engine->stats();
+        auto insert = engine->begin();
+        ASSERT_TRUE(tree->insert(insert->pageIO(), 1,
+                                 std::span<const std::uint8_t>(v))
+                        .isOk());
+        ASSERT_TRUE(insert->commit().isOk());
+        const std::uint64_t path =
+            kind == core::EngineKind::Fast ? 1 : 2;
+        EXPECT_EQ(eventsOf(device, insert->id()),
+                  (Events{{FlightEventType::OpBegin, 0},
+                          {FlightEventType::CommitPoint, path}}));
+        const core::EngineStats s1 = engine->stats();
+        EXPECT_EQ(s1.inPlaceCommits - s0.inPlaceCommits, path == 1 ? 1u : 0u);
+        EXPECT_EQ(s1.logCommits - s0.logCommits, path == 2 ? 1u : 0u);
+
+        auto reader = engine->begin();
+        std::vector<std::uint8_t> out;
+        ASSERT_TRUE(tree->get(reader->pageIO(), 1, out).isOk());
+        ASSERT_TRUE(reader->commit().isOk());
+        EXPECT_EQ(eventsOf(device, reader->id()),
+                  (Events{{FlightEventType::OpBegin, 0},
+                          {FlightEventType::CommitPoint, 0}}));
+        const core::EngineStats s2 = engine->stats();
+        EXPECT_EQ(s2.txCommitted - s1.txCommitted, 1u);
+        EXPECT_EQ(s2.inPlaceCommits, s1.inPlaceCommits);
+        EXPECT_EQ(s2.logCommits, s1.logCommits);
+
+        auto aborted = engine->begin();
+        ASSERT_TRUE(tree->insert(aborted->pageIO(), 2,
+                                 std::span<const std::uint8_t>(v))
+                        .isOk());
+        aborted->rollback();
+        EXPECT_EQ(eventsOf(device, aborted->id()),
+                  (Events{{FlightEventType::OpBegin, 0},
+                          {FlightEventType::Abort, 0}}));
+        const core::EngineStats s3 = engine->stats();
+        EXPECT_EQ(s3.txRolledBack - s2.txRolledBack, 1u);
+        EXPECT_EQ(s3.txCommitted, s2.txCommitted);
+    }
 }
 
 } // namespace

@@ -103,7 +103,7 @@ TEST_F(BaselineWalTest, SealedJournalRollsBackOnRecovery)
     device_->reviveAfterCrash();
 
     RollbackJournal fresh(*device_, sb_);
-    RecoveryBreakdown bd;
+    obs::RecoveryBreakdown bd;
     auto rolled = fresh.recover(&bd);
     ASSERT_TRUE(rolled.isOk());
     EXPECT_TRUE(*rolled);

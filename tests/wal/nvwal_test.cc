@@ -275,7 +275,7 @@ TEST_F(NvwalLogTest, RecoveryKeepsCommittedDiscardsUncommitted)
     device_.reviveAfterCrash();
 
     NvwalLog fresh(device_, sb_);
-    RecoveryBreakdown bd;
+    obs::RecoveryBreakdown bd;
     ASSERT_TRUE(fresh.recover(&bd).isOk());
     std::vector<std::uint8_t> out;
     fresh.fetchPage(pid, out);

@@ -8,7 +8,7 @@
  *  - the --json report: {"bench", "tables": [{title, columns, rows}]}
  *    with rectangular rows — the missing-field regression guard for
  *    the CI bench-smoke artifacts;
- *  - the --metrics export: schema_version 6, counters / gauges /
+ *  - the --metrics export: schema_version 7, counters /
  *    histograms (complete summary fields), pm_phases / pm_sites /
  *    recovery sections, and the span profiler's spans /
  *    latch_contention / page_heat / outliers sections, with latch
@@ -171,7 +171,7 @@ checkMetricsSchema(const JsonValue &doc)
         requireField(doc, "schema_version", JsonValue::Number,
                      "metrics");
     if (version)
-        check(version->number == 6, "metrics: schema_version != 6");
+        check(version->number == 7, "metrics: schema_version != 7");
 
     const JsonValue *counters =
         requireField(doc, "counters", JsonValue::Object, "metrics");
@@ -180,7 +180,6 @@ checkMetricsSchema(const JsonValue &doc)
             check(value.isNumber(),
                   "counter \"" + name + "\" not a number");
     }
-    requireField(doc, "gauges", JsonValue::Object, "metrics");
 
     const JsonValue *hists =
         requireField(doc, "histograms", JsonValue::Object, "metrics");

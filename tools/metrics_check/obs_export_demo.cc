@@ -34,7 +34,6 @@ main(int argc, char **argv)
     registry.counter("core.tx.commits").add(120);
     registry.counter("core.pcas.commits").add(90);
     registry.counter("core.pcas.fallbacks").add(3);
-    registry.gauge("bench.clients").set(4);
     obs::Histogram &hist = registry.histogram("bench.txn_ns.FAST");
     for (std::uint64_t v : {0u, 1u, 5u, 5u, 900u, 1500u, 70000u})
         hist.record(v);
@@ -75,13 +74,16 @@ main(int argc, char **argv)
     ledger.fold("NVWAL", nvwal_window);
 
     obs::RecoveryLedger recovery;
-    obs::RecoveryLedger::Sample fast_rec;
-    fast_rec.phaseNs = {4200, 0, 0, 300};
+    obs::RecoveryBreakdown fast_rec;
+    fast_rec.scanNs = 4200;
+    fast_rec.repairNs = 300;
     fast_rec.pagesScanned = 12;
     fast_rec.tornRecords = 1;
     recovery.record("FAST", fast_rec);
-    obs::RecoveryLedger::Sample nvwal_rec;
-    nvwal_rec.phaseNs = {2100, 36000, 900, 0};
+    obs::RecoveryBreakdown nvwal_rec;
+    nvwal_rec.scanNs = 2100;
+    nvwal_rec.replayNs = 36000;
+    nvwal_rec.discardNs = 900;
     nvwal_rec.pagesScanned = 8;
     nvwal_rec.recordsReplayed = 5;
     nvwal_rec.recordsDiscarded = 2;
