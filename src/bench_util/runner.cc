@@ -118,36 +118,23 @@ EngineCounters::of(Engine &engine)
     return c;
 }
 
-void
-foldCounters(Engine &engine, const EngineCounters &before)
+std::array<obs::NamedCount, EngineCounters::kNamed>
+EngineCounters::named() const
 {
-    if (!obs::enabled())
-        return;
-    const EngineCounters now = EngineCounters::of(engine);
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    auto add = [&reg](const char *name, std::uint64_t delta) {
-        if (delta != 0)
-            reg.counter(name).add(delta);
-    };
-    const core::EngineStats &e = now.engine, &e0 = before.engine;
-    const pm::PcasStats &p = now.pcas, &p0 = before.pcas;
-
-    add("core.tx.commits", e.txCommitted - e0.txCommitted);
-    add("core.tx.rollbacks", e.txRolledBack - e0.txRolledBack);
-    add("pager.latch.conflicts",
-        now.latches.conflicts - before.latches.conflicts);
-    add("pager.latch.shared_acquires",
-        now.latches.sharedAcquires - before.latches.sharedAcquires);
-    add("pager.latch.exclusive_acquires",
-        now.latches.exclusiveAcquires - before.latches.exclusiveAcquires);
-    add("pager.latch.upgrades",
-        now.latches.upgrades - before.latches.upgrades);
-
+    const core::EngineStats &e = engine;
     // Only FAST commits in place, and always through PCAS.
-    add("core.pcas.commits", e.inPlaceCommits - e0.inPlaceCommits);
-    add("core.pcas.fallbacks", e.pcasFallbacks - e0.pcasFallbacks);
-    add("core.pcas.conflicts", p.casConflicts - p0.casConflicts);
-    add("core.pcas.exhausted", p.casExhausted - p0.casExhausted);
+    return {{{"core.tx.commits", e.txCommitted},
+             {"core.tx.rollbacks", e.txRolledBack},
+             {"core.pcas.commits", e.inPlaceCommits},
+             {"core.pcas.fallbacks", e.pcasFallbacks},
+             {"core.pcas.conflicts", pcas.casConflicts},
+             {"core.pcas.exhausted", pcas.casExhausted},
+             {"pager.page_allocs", e.pageAllocs},
+             {"pager.page_frees", e.pageFrees},
+             {"pager.latch.conflicts", latches.conflicts},
+             {"pager.latch.shared_acquires", latches.sharedAcquires},
+             {"pager.latch.exclusive_acquires", latches.exclusiveAcquires},
+             {"pager.latch.upgrades", latches.upgrades}}};
 }
 
 namespace {
@@ -439,13 +426,6 @@ runClient(Engine &engine, btree::BTree tree,
     RetryBackoff backoff(clientSeed(c) + 7);
     out.opNs.reserve(config.opsPerClient);
 
-    obs::Histogram *op_hist = nullptr;
-    if (obs::enabled()) {
-        op_hist = &obs::MetricsRegistry::global().histogram(
-            std::string("bench.txn_ns.") +
-            core::engineKindName(config.kind));
-    }
-
     const std::uint64_t start_ns = threadCpuNs() + pm::threadModelNs();
     std::uint64_t last_ns = start_ns;
     for (std::size_t i = 0; i < config.opsPerClient; ++i) {
@@ -491,8 +471,6 @@ runClient(Engine &engine, btree::BTree tree,
 
         std::uint64_t now_ns = threadCpuNs() + pm::threadModelNs();
         out.opNs.push_back(now_ns - last_ns);
-        if (op_hist)
-            op_hist->record(now_ns - last_ns);
         last_ns = now_ns;
     }
     out.activeNs = last_ns - start_ns;
@@ -594,9 +572,10 @@ BenchPoint::startMeasuring()
     device_.invalidateTagCache();
     device_.resetStats();
     engine_->resetStats();
-    if (auto *fasp = dynamic_cast<core::FaspEngine *>(engine_))
+    if (auto *fasp = dynamic_cast<core::FaspEngine *>(engine_)) {
+        fasp->latches().resetStats();
         fasp->pcas().resetStats();
-    counters0_ = EngineCounters::of(*engine_);
+    }
     window_.start();
 }
 
@@ -608,14 +587,13 @@ BenchPoint::stopMeasuring(BenchResult &result)
         device_.setChecker(nullptr);
         result.checkerViolations = checker_.report().total();
     }
-    if (obs::enabled()) {
-        obs::PhaseLedger::global().fold(
-            core::engineKindName(config_.kind), window_);
-        foldCounters(*engine_, counters0_);
-    }
     result.window = window_;
     result.pmStats = device_.stats();
     result.counters = EngineCounters::of(*engine_);
+    if (obs::enabled()) {
+        obs::PhaseLedger::global().fold(core::engineKindName(config_.kind),
+                                        window_, result.counters.named());
+    }
 }
 
 BenchResult
@@ -723,14 +701,6 @@ runSqlBench(const SqlBenchConfig &config)
     // Payload text reused across statements (sized once).
     std::string payload(kPayloadBytes, 'x');
 
-    // With --metrics, collect a per-op latency distribution.
-    obs::Histogram *op_hist = nullptr;
-    if (obs::enabled()) {
-        op_hist = &obs::MetricsRegistry::global().histogram(
-            std::string("bench.sql_op_ns.") +
-            core::engineKindName(config.kind));
-    }
-
     point.startMeasuring();
     workload::MixedWorkload workload(config.mix, kSeed);
     SqlBenchResult result;
@@ -772,8 +742,6 @@ runSqlBench(const SqlBenchConfig &config)
             std::chrono::duration<double, std::nano>(op_end - op_start)
                 .count() +
             static_cast<double>(pm::threadModelNs() - model_before);
-        if (op_hist)
-            op_hist->record(static_cast<std::uint64_t>(ns));
 
         switch (op.type) {
           case workload::OpType::Insert:

@@ -35,6 +35,7 @@
 #include "btree/btree.h"
 #include "core/engine.h"
 #include "db/database.h"
+#include "obs/metrics.h"
 #include "pager/latch_table.h"
 #include "pm/checker.h"
 #include "pm/device.h"
@@ -73,9 +74,9 @@ struct BenchConfig
 
 /**
  * Snapshot of the stats structs an engine counts its events in: the
- * single count behind every exported core.* and pager.latch.* counter
- * (DESIGN.md §11). The buffered engines have only EngineStats;
- * FAST/FASH add their latch table and PCAS stats.
+ * single count behind every exported counter (DESIGN.md §11). The
+ * buffered engines have only EngineStats; FAST/FASH add their latch
+ * table and PCAS stats.
  */
 struct EngineCounters
 {
@@ -84,6 +85,11 @@ struct EngineCounters
     pm::PcasStats pcas;
 
     static EngineCounters of(core::Engine &engine);
+
+    static constexpr std::size_t kNamed = 12;
+
+    /** Every field the export carries, under its exported name. */
+    std::array<obs::NamedCount, kNamed> named() const;
 };
 
 /** Everything measured over one point's measured phase. */
@@ -102,9 +108,7 @@ struct BenchResult
     std::uint64_t checkerViolations = 0;
     pm::PhaseTracker window;          //!< ledger window over the ops
     pm::PmStats pmStats;
-    /** The engine's stats at the end of the phase. Its EngineStats
-     *  and PCAS stats count from the phase's start; latch stats are
-     *  cumulative. */
+    /** The engine's stats over the phase (reset at its start). */
     EngineCounters counters;
 
     /** ops / modeledSeconds. */
@@ -151,12 +155,14 @@ class BenchPoint
     BenchResult run(btree::BTree &tree);
 
     /** Attach the checker if config.attachChecker, reset the device's
-     *  and engine's stats, snapshot the counters and open the window. */
+     *  and engine's four stats blocks and open the window. */
     void startMeasuring();
 
-    /** Close the window and fold it and the counters' change into the
-     *  obs export (with obs on); copy the window, PmStats, counters and
-     *  checker violations into @p result. */
+    /** Close the window; copy it, PmStats, the engine's counters and
+     *  checker violations into @p result; and, with obs on, fold the
+     *  window and the counters into the engine's PhaseLedger entry in
+     *  one call, so the export's counters and `pm_phases` describe the
+     *  same transactions. */
     void stopMeasuring(BenchResult &result);
 
   private:
@@ -166,7 +172,6 @@ class BenchPoint
     std::unique_ptr<db::Database> database_;
     std::unique_ptr<core::Engine> ownEngine_;
     core::Engine *engine_ = nullptr;
-    EngineCounters counters0_;
     pm::PhaseTracker window_;
 };
 
@@ -196,17 +201,6 @@ double pageUpdateNs(const BenchResult &result);
 
 /** Sum of the Figure 8 Commit sub-components per txn. */
 double commitNs(const BenchResult &result, core::EngineKind kind);
-
-/**
- * With obs enabled, add each stats field's change since @p before to
- * the global MetricsRegistry under its exported counter name. Zero
- * changes are skipped, so a counter appears in an export only once its
- * event happened. BenchPoint::stopMeasuring() calls this where it
- * folds its ledger window into the PhaseLedger, so the counters and
- * `pm_phases` describe the same measured transactions. No-op with obs
- * off.
- */
-void foldCounters(core::Engine &engine, const EngineCounters &before);
 
 /** Every engine kind, in the paper's comparison order. */
 std::array<core::EngineKind, 3> paperEngines();

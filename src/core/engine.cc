@@ -85,6 +85,7 @@ EngineTransaction::allocPage()
     if (!pid.isOk())
         return pid;
     allocs_.push_back(*pid);
+    engine_.stats_.add(Engine::kPageAllocs);
     // A page allocated while defragmenting is the copy target;
     // anything else is tree growth (a split or a new root/leaf).
     bool defrag = pm::currentThreadComponent() == pm::Component::Defrag;
@@ -114,6 +115,7 @@ EngineTransaction::freePage(PageId pid)
         // commit's freed-page cleanup would wipe the new contents.
         frees_.push_back(pid);
     }
+    engine_.stats_.add(Engine::kPageFrees);
     dropPage(pid, reusable);
 }
 
@@ -185,7 +187,9 @@ Engine::stats() const
             .txRolledBack = n[kTxRolledBack],
             .inPlaceCommits = n[kInPlaceCommits],
             .logCommits = n[kLogCommits],
-            .pcasFallbacks = n[kPcasFallbacks]};
+            .pcasFallbacks = n[kPcasFallbacks],
+            .pageAllocs = n[kPageAllocs],
+            .pageFrees = n[kPageFrees]};
 }
 
 Result<std::unique_ptr<Engine>>
@@ -343,8 +347,8 @@ Engine::get(btree::BTree &tree, std::uint64_t key,
 {
     auto tx = begin();
     Status status = tree.get(tx->pageIO(), key, value);
-    tx->rollback();
-    return status;
+    Status committed = tx->commit();
+    return status.isOk() ? committed : status;
 }
 
 Status
@@ -354,8 +358,8 @@ Engine::scan(btree::BTree &tree, std::uint64_t lo, std::uint64_t hi,
 {
     auto tx = begin();
     Status status = tree.scan(tx->pageIO(), lo, hi, fn);
-    tx->rollback();
-    return status;
+    Status committed = tx->commit();
+    return status.isOk() ? committed : status;
 }
 
 } // namespace fasp::core

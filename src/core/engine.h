@@ -99,6 +99,8 @@ struct EngineStats
     pm::StatCount inPlaceCommits; //!< CommitPath::InPlace commits
     pm::StatCount logCommits;     //!< CommitPath::Logged commits
     pm::StatCount pcasFallbacks;  //!< FAST PCAS gave up
+    pm::StatCount pageAllocs;     //!< pages a transaction allocated
+    pm::StatCount pageFrees;      //!< pages a transaction freed
 };
 
 /**
@@ -275,14 +277,15 @@ class Engine
     /** Single-delete transaction. */
     Status erase(btree::BTree &tree, std::uint64_t key);
 
-    /** Read-only lookup (runs inside a transaction, rolled back). */
+    /** Read-only lookup (runs inside a transaction, which commits
+     *  read-only). */
     Status get(btree::BTree &tree, std::uint64_t key,
                std::vector<std::uint8_t> &value);
 
     /**
      * Read-only range scan over [lo, hi] (runs inside a transaction,
-     * rolled back). @p fn returns false to stop early; the callback's
-     * value span is only valid during the call.
+     * which commits read-only). @p fn returns false to stop early; the
+     * callback's value span is only valid during the call.
      */
     Status scan(btree::BTree &tree, std::uint64_t lo, std::uint64_t hi,
                 const std::function<bool(std::uint64_t,
@@ -342,6 +345,8 @@ class Engine
         kInPlaceCommits,
         kLogCommits,
         kPcasFallbacks,
+        kPageAllocs,
+        kPageFrees,
         kNumStats,
     };
 

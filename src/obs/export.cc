@@ -124,64 +124,37 @@ appendMicros(std::string &out, std::uint64_t ns)
 } // namespace
 
 std::string
-exportJson(const std::string &benchName,
-           const MetricsRegistry &registry, const PhaseLedger &ledger,
+exportJson(const std::string &benchName, const PhaseLedger &ledger,
            const RecoveryLedger &recovery, const SpanProfiler *spans)
 {
     std::string out;
     out += "{\n  \"bench\": ";
     appendJsonString(out, benchName);
-    out += ",\n  \"schema_version\": 7";
+    out += ",\n  \"schema_version\": 8";
 
+    auto entries = ledger.entries();
     out += ",\n  \"counters\": {";
     bool first = true;
-    for (const auto &[name, value] : registry.counters()) {
+    for (const auto &entry : entries) {
         out += first ? "\n" : ",\n";
         first = false;
         out += "    ";
-        appendJsonString(out, name);
-        out += ": ";
-        appendU64(out, value);
-    }
-    out += first ? "}" : "\n  }";
-
-    out += ",\n  \"histograms\": {";
-    first = true;
-    for (const auto &[name, snap] : registry.histograms()) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    ";
-        appendJsonString(out, name);
-        out += ": {\"count\": ";
-        appendU64(out, snap.count);
-        out += ", \"sum\": ";
-        appendU64(out, snap.sum);
-        out += ", \"max\": ";
-        appendU64(out, snap.max);
-        out += ", \"p50\": ";
-        appendU64(out, snap.p50);
-        out += ", \"p95\": ";
-        appendU64(out, snap.p95);
-        out += ", \"p99\": ";
-        appendU64(out, snap.p99);
-        out += ", \"buckets\": [";
-        bool bfirst = true;
-        for (const auto &[edge, count] : snap.buckets) {
-            if (!bfirst)
-                out += ", ";
-            bfirst = false;
-            out += "[";
-            appendU64(out, edge);
-            out += ", ";
-            appendU64(out, count);
-            out += "]";
+        appendJsonString(out, entry.engine);
+        out += ": {";
+        bool cfirst = true;
+        for (const auto &[name, value] : entry.counters) {
+            out += cfirst ? "\n" : ",\n";
+            cfirst = false;
+            out += "      ";
+            appendJsonString(out, name);
+            out += ": ";
+            appendU64(out, value);
         }
-        out += "]}";
+        out += cfirst ? "}" : "\n    }";
     }
     out += first ? "}" : "\n  }";
 
     out += ",\n  \"pm_phases\": {";
-    auto entries = ledger.entries();
     first = true;
     for (const auto &entry : entries) {
         out += first ? "\n" : ",\n";
@@ -492,10 +465,9 @@ exportChromeTrace(const SpanProfiler &spans)
 bool
 writeMetricsFile(const std::string &path, const std::string &benchName)
 {
-    std::string body = exportJson(benchName, MetricsRegistry::global(),
-                                  PhaseLedger::global(),
-                                  RecoveryLedger::global(),
-                                  &SpanProfiler::global());
+    std::string body =
+        exportJson(benchName, PhaseLedger::global(),
+                   RecoveryLedger::global(), &SpanProfiler::global());
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) {
         std::fprintf(stderr, "metrics: cannot open %s for writing\n",

@@ -2,7 +2,7 @@
  * @file
  * Exporters for the obs layer. The JSON export (machine-diffable,
  * consumed by tools/metrics_check, tools/fasp-profile, and the
- * golden-file ctest) renders the metrics registry, the per-engine PM
+ * golden-file ctest) renders the per-engine counters and PM
  * phase/site attribution ledger, the recovery ledger, and the span
  * profiler's per-engine summaries, latch contention profile,
  * page-hotness sketch, and captured p99 outliers. A second exporter
@@ -24,11 +24,12 @@ namespace fasp::obs {
  *  Every JSON report in src/ writes its strings through this. */
 void appendJsonString(std::string &out, std::string_view s);
 
-/** Render everything as a JSON document (schema_version 7: the
- *  `gauges` object is gone; v6 keyed latch contention by page —
- *  `latch_contention` keeps totals and one merged histogram,
- *  `page_heat` entries gain `latch_waits` and `latch_wait_ns`,
- *  outliers name `hot_latch_page`; v5 dropped the
+/** Render everything as a JSON document (schema_version 8:
+ *  `counters` are keyed by engine like `pm_phases`, and the registry's
+ *  `histograms` are gone; v7 dropped the `gauges` object; v6 keyed
+ *  latch contention by page — `latch_contention` keeps totals and one
+ *  merged histogram, `page_heat` entries gain `latch_waits` and
+ *  `latch_wait_ns`, outliers name `hot_latch_page`; v5 dropped the
  *  trace-ring section and the outliers' trace slices; v4 added the
  *  span-profiler sections `spans`, `latch_contention`, `page_heat`,
  *  and `outliers`; v3 added the `core.pcas.*` counters; v2 added the
@@ -36,7 +37,6 @@ void appendJsonString(std::string &out, std::string_view s);
  *  sections are still emitted, empty, so consumers can rely on their
  *  presence. */
 std::string exportJson(const std::string &benchName,
-                       const MetricsRegistry &registry,
                        const PhaseLedger &ledger,
                        const RecoveryLedger &recovery,
                        const SpanProfiler *spans = nullptr);
@@ -49,7 +49,7 @@ std::string exportJson(const std::string &benchName,
 std::string exportChromeTrace(const SpanProfiler &spans);
 
 /**
- * Write the global registry/ledgers/profiler to @p path as JSON.
+ * Write the global ledgers and profiler to @p path as JSON.
  * Returns false (after logging) when the file cannot be written. This
  * is what the benches' --metrics=PATH flag calls.
  */

@@ -1,5 +1,5 @@
-// fasp-analyze: allow-file(raw-std-sync) -- lock-free metrics registry:
-// monotonic counters only, never synchronization of engine state.
+// fasp-analyze: allow-file(raw-std-sync) -- lock-free histograms:
+// monotonic counts only, never synchronization of engine state.
 #include "obs/metrics.h"
 
 #include <algorithm>
@@ -90,50 +90,6 @@ Histogram::reset()
     max_.store(0, std::memory_order_relaxed);
 }
 
-// --- MetricsRegistry ---------------------------------------------------
-
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry registry;
-    return registry;
-}
-
-Counter &
-MetricsRegistry::counter(std::string_view name)
-{
-    MutexLock lk(&mu_);
-    auto it = counters_.find(name);
-    if (it == counters_.end()) {
-        it = counters_.emplace(std::string(name),
-                               std::make_unique<Counter>()).first;
-    }
-    return *it->second;
-}
-
-Histogram &
-MetricsRegistry::histogram(std::string_view name)
-{
-    MutexLock lk(&mu_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(std::string(name),
-                                 std::make_unique<Histogram>()).first;
-    }
-    return *it->second;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-MetricsRegistry::counters() const
-{
-    MutexLock lk(&mu_);
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto &[name, c] : counters_)
-        out.emplace_back(name, c->value());
-    return out;
-}
-
 HistogramSnapshot
 snapshotHistogram(const Histogram &h)
 {
@@ -144,35 +100,7 @@ snapshotHistogram(const Histogram &h)
     snap.p50 = h.p50();
     snap.p95 = h.p95();
     snap.p99 = h.p99();
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-        std::uint64_t n = h.bucketCount(i);
-        std::uint64_t edge = (i == Histogram::kBuckets - 1)
-            ? snap.max : Histogram::bucketUpperEdge(i);
-        if (n)
-            snap.buckets.emplace_back(edge, n);
-    }
     return snap;
-}
-
-std::vector<std::pair<std::string, HistogramSnapshot>>
-MetricsRegistry::histograms() const
-{
-    MutexLock lk(&mu_);
-    std::vector<std::pair<std::string, HistogramSnapshot>> out;
-    out.reserve(histograms_.size());
-    for (const auto &[name, h] : histograms_)
-        out.emplace_back(name, snapshotHistogram(*h));
-    return out;
-}
-
-void
-MetricsRegistry::reset()
-{
-    MutexLock lk(&mu_);
-    for (auto &[name, c] : counters_)
-        c->reset();
-    for (auto &[name, h] : histograms_)
-        h->reset();
 }
 
 // --- PhaseLedger -------------------------------------------------------
@@ -185,7 +113,8 @@ PhaseLedger::global()
 }
 
 void
-PhaseLedger::fold(std::string_view engine, const pm::PhaseTracker &window)
+PhaseLedger::fold(std::string_view engine, const pm::PhaseTracker &window,
+                  std::span<const NamedCount> counters)
 {
     MutexLock lk(&mu_);
     Entry *entry = nullptr;
@@ -212,6 +141,10 @@ PhaseLedger::fold(std::string_view engine, const pm::PhaseTracker &window)
             entry->sites.emplace_back(site, cell);
         else
             it->second += cell;
+    }
+    for (const NamedCount &c : counters) {
+        if (c.value != 0)
+            entry->counters[c.name] += c.value;
     }
 }
 

@@ -1,26 +1,24 @@
-// fasp-analyze: allow-file(raw-std-sync) -- lock-free metrics registry:
-// monotonic counters only, never synchronization of engine state.
+// fasp-analyze: allow-file(raw-std-sync) -- lock-free histograms:
+// monotonic counts only, never synchronization of engine state.
 /**
  * @file
- * Observability metrics: named counters and latency histograms, plus
- * the per-engine fold of PM-ledger windows that reproduces the paper's
- * Fig-8 per-phase flush/fence/cycle breakdown at runtime (DESIGN.md
- * §11).
+ * Observability metrics: latency histograms, the per-engine fold of
+ * each measured phase (its PM-ledger window, which reproduces the
+ * paper's Fig-8 per-phase flush/fence/cycle breakdown at runtime, and
+ * its engine counters), and the recovery ledger (DESIGN.md §11).
  *
- * Cost model: everything here is relaxed atomics, and every record
- * site is guarded by obs::enabled() (one relaxed atomic-bool load), so
- * a build that never passes --metrics pays a predicted-not-taken
- * branch per instrumented operation. The engines count their events
- * in their own stats structs; bench_util folds those into registry
- * counters after a run (DESIGN.md §11).
+ * Cost model: histograms are relaxed atomics, and every record site is
+ * guarded by obs::enabled() (one relaxed atomic-bool load), so a build
+ * that never passes --metrics pays a predicted-not-taken branch per
+ * instrumented operation. The engines count their events in their own
+ * stats structs; bench_util folds them into the PhaseLedger once per
+ * measured phase (DESIGN.md §11).
  *
- * Thread safety: Counter / Histogram are safe to record from
- * any number of threads. MetricsRegistry name lookup
- * takes a Mutex — hot paths cache the returned reference (stable
- * address for the registry's lifetime) in a function-local static.
- * Snapshot/export reads are racy-but-atomic: each cell is read with a
- * relaxed load, so a snapshot taken while writers run is a consistent
- * set of individually-torn-free values, not a point-in-time cut.
+ * Thread safety: Histogram is safe to record from any number of
+ * threads. The ledgers take a Mutex per fold or snapshot. Histogram
+ * snapshots are racy-but-atomic: each cell is read with a relaxed
+ * load, so a snapshot taken while writers run is a consistent set of
+ * individually-torn-free values, not a point-in-time cut.
  */
 
 #ifndef FASP_OBS_METRICS_H
@@ -32,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,28 +49,6 @@ bool enabled();
  *  While on, obs holds the pm phase clock, so PhaseScope settles the
  *  wall time spans partition. */
 void setEnabled(bool on);
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    void inc() { add(1); }
-
-    void add(std::uint64_t n)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    std::uint64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
 
 /**
  * Fixed-bucket latency histogram with power-of-two bucket edges.
@@ -142,55 +119,24 @@ struct HistogramSnapshot
     std::uint64_t p50 = 0;
     std::uint64_t p95 = 0;
     std::uint64_t p99 = 0;
-    /** (inclusive upper edge, count) for every non-empty bucket. */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
 };
 
-/**
- * Name → metric registry. Lookup is Mutex-guarded; returned references
- * are stable for the registry's lifetime (metrics are never removed),
- * so hot paths bind once:
- *
- *     static obs::Counter &c =
- *         obs::MetricsRegistry::global().counter("pager.page_allocs");
- *     if (obs::enabled()) c.inc();
- */
-class MetricsRegistry
+/** One engine counter's count over a measured phase, under its
+ *  exported name (a string literal). */
+struct NamedCount
 {
-  public:
-    /** Process-wide registry the wiring and exporters use. */
-    static MetricsRegistry &global();
-
-    Counter &counter(std::string_view name) EXCLUDES(mu_);
-    Histogram &histogram(std::string_view name) EXCLUDES(mu_);
-
-    /** Sorted (name, value) view of every counter. */
-    std::vector<std::pair<std::string, std::uint64_t>>
-    counters() const EXCLUDES(mu_);
-
-    /** Sorted (name, snapshot) view of every histogram. */
-    std::vector<std::pair<std::string, HistogramSnapshot>>
-    histograms() const EXCLUDES(mu_);
-
-    /** Zero every registered metric (names stay registered). */
-    void reset() EXCLUDES(mu_);
-
-  private:
-    mutable Mutex mu_;
-    // unique_ptr storage gives metrics stable addresses across rehash.
-    std::map<std::string, std::unique_ptr<Counter>, std::less<>>
-        counters_ GUARDED_BY(mu_);
-    std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
-        histograms_ GUARDED_BY(mu_);
+    const char *name;
+    std::uint64_t value;
 };
 
 /**
- * Per-engine fold of PM-ledger windows. Benches run one engine at a
- * time inside a pm::PhaseTracker window; at the end of each run the
- * runner folds that window here under the engine's name, and the
- * exporters emit the per-engine × per-phase breakdown (the runtime Fig
- * 8) and the per-site one. Folding the same engine twice accumulates —
- * a bench sweeping latencies sums across the sweep.
+ * Per-engine fold of measured phases. Benches run one engine at a time
+ * inside a pm::PhaseTracker window; at the end of each measured phase
+ * the runner folds that window and the engine's counters over it here
+ * under the engine's name, in one call, and the exporters emit the
+ * per-engine × per-phase breakdown (the runtime Fig 8), the per-site
+ * one and the counters. Folding the same engine twice accumulates — a
+ * bench sweeping latencies sums across the sweep.
  */
 class PhaseLedger
 {
@@ -200,13 +146,17 @@ class PhaseLedger
         std::string engine;
         std::array<pm::PmCell, pm::kNumComponents> phases{};
         std::vector<std::pair<std::string, pm::PmCell>> sites;
+        /** Counters by name; a name appears once its count is
+         *  non-zero. */
+        std::map<std::string, std::uint64_t> counters;
     };
 
     static PhaseLedger &global();
 
-    /** Fold the stopped @p window's phase and site cells. */
-    void fold(std::string_view engine, const pm::PhaseTracker &window)
-        EXCLUDES(mu_);
+    /** Fold the stopped @p window's phase and site cells and the
+     *  phase's @p counters (zero counts are skipped). */
+    void fold(std::string_view engine, const pm::PhaseTracker &window,
+              std::span<const NamedCount> counters) EXCLUDES(mu_);
 
     std::vector<Entry> entries() const EXCLUDES(mu_);
 

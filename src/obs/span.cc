@@ -29,8 +29,6 @@ struct ActiveSpan
 
 thread_local ActiveSpan t_span;
 
-std::atomic<std::uint64_t> g_profilerIds{0};
-
 } // namespace
 
 // --- Hot-path free functions -------------------------------------------
@@ -141,9 +139,10 @@ spanDefrag()
 
 // --- SpanProfiler ------------------------------------------------------
 
-SpanProfiler::SpanProfiler()
-    : id_(g_profilerIds.fetch_add(1, std::memory_order_relaxed))
+SpanProfiler::~SpanProfiler()
 {
+    for (auto &ring : rings_)
+        delete ring.load(std::memory_order_relaxed);
 }
 
 SpanProfiler &
@@ -166,32 +165,30 @@ SpanProfiler::SpanRing::record(const TxSpan &span)
 }
 
 SpanProfiler::SpanRing &
-SpanProfiler::threadRing()
+SpanProfiler::ring(std::size_t slot)
 {
-    struct Memo
-    {
-        std::uint64_t profilerId = ~std::uint64_t{0};
-        SpanRing *ring = nullptr;
-    };
-    thread_local std::vector<Memo> memos;
-    for (const Memo &m : memos) {
-        if (m.profilerId == id_)
-            return *m.ring;
+    if (SpanRing *r = rings_[slot].load(std::memory_order_acquire))
+        return *r;
+    MutexLock lk(&mu_);
+    SpanRing *r = rings_[slot].load(std::memory_order_relaxed);
+    if (r == nullptr) {
+        r = new SpanRing;
+        rings_[slot].store(r, std::memory_order_release);
     }
-    SpanRing *ring;
-    {
-        MutexLock lk(&mu_);
-        rings_.push_back(std::make_unique<SpanRing>());
-        ring = rings_.back().get();
-    }
-    memos.push_back(Memo{id_, ring});
-    return *ring;
+    return *r;
 }
 
 void
 SpanProfiler::recordSpan(const TxSpan &span)
 {
-    threadRing().record(span);
+    const std::size_t slot = pm::threadSlot();
+    if (slot < pm::kThreadSlots) {
+        ring(slot).record(span);
+    } else {
+        SpanRing &overflow = ring(pm::kThreadSlots);
+        MutexLock lk(&mu_);
+        overflow.record(span);
+    }
 
     std::size_t idx = span.engineCode < kSpanEngineSlots
                           ? span.engineCode
@@ -485,27 +482,26 @@ SpanProfiler::outliers() const
 std::uint64_t
 SpanProfiler::spansRecorded() const
 {
-    MutexLock lk(&mu_);
     std::uint64_t n = 0;
-    for (const auto &ring : rings_)
-        n += ring->head.load(std::memory_order_acquire);
+    for (const SpanRingStats &stats : ringStats())
+        n += stats.recorded;
     return n;
 }
 
 std::vector<SpanRingStats>
 SpanProfiler::ringStats() const
 {
-    MutexLock lk(&mu_);
     std::vector<SpanRingStats> out;
-    out.reserve(rings_.size());
-    for (std::size_t i = 0; i < rings_.size(); ++i) {
-        const SpanRing &ring = *rings_[i];
+    MutexLock lk(&mu_);
+    for (std::size_t slot = 0; slot < rings_.size(); ++slot) {
+        const SpanRing *ring = rings_[slot].load(std::memory_order_acquire);
+        if (ring == nullptr)
+            continue;
         SpanRingStats stats;
-        stats.ring = i;
+        stats.ring = slot;
         stats.capacity = kSpanRingCapacity;
-        stats.recorded = ring.head.load(std::memory_order_acquire);
-        stats.dropped =
-            ring.dropped.load(std::memory_order_acquire);
+        stats.recorded = ring->head.load(std::memory_order_acquire);
+        stats.dropped = ring->dropped.load(std::memory_order_acquire);
         out.push_back(stats);
     }
     return out;
@@ -517,12 +513,14 @@ SpanProfiler::retainedSpans() const
     std::vector<RingSpan> out;
     MutexLock lk(&mu_);
     for (std::size_t r = 0; r < rings_.size(); ++r) {
-        const SpanRing &ring = *rings_[r];
-        std::uint64_t head = ring.head.load(std::memory_order_acquire);
+        const SpanRing *ring = rings_[r].load(std::memory_order_acquire);
+        if (ring == nullptr)
+            continue;
+        std::uint64_t head = ring->head.load(std::memory_order_acquire);
         std::uint64_t retained =
             std::min<std::uint64_t>(head, kSpanRingCapacity);
         for (std::uint64_t i = head - retained; i < head; ++i)
-            out.push_back(RingSpan{r, ring.slots[i % kSpanRingCapacity]});
+            out.push_back(RingSpan{r, ring->slots[i % kSpanRingCapacity]});
     }
     return out;
 }
@@ -532,8 +530,10 @@ SpanProfiler::reset()
 {
     MutexLock lk(&mu_);
     for (auto &ring : rings_) {
-        ring->head.store(0, std::memory_order_relaxed);
-        ring->dropped.store(0, std::memory_order_relaxed);
+        if (SpanRing *r = ring.load(std::memory_order_relaxed)) {
+            r->head.store(0, std::memory_order_relaxed);
+            r->dropped.store(0, std::memory_order_relaxed);
+        }
     }
     for (EngineAgg &agg : engines_) {
         agg.engine.store(nullptr, std::memory_order_relaxed);

@@ -11,7 +11,8 @@
  * modelled PM ns and WAL appends — all deltas of the calling thread's
  * PM ledger (pm/phase.h) between begin and end — plus latch-acquire
  * waits (total, and the page of the longest) and split/defrag counts.
- * Spans land in a per-thread lock-free span ring and fold into:
+ * Spans land in the span ring of the calling thread's slot
+ * (pm::threadSlot()) and fold into:
  *
  *  - a contention profile: exact wait/conflict totals plus one merged
  *    wait histogram (how long acquirers spin);
@@ -24,22 +25,26 @@
  *
  * The span rings are the only per-thread event rings: the --trace
  * chrome://tracing dump renders their retained spans at their real
- * begin timestamps, one track per ring.
+ * begin timestamps, one track per ring. A profiler holds at most one
+ * ring per thread slot plus one overflow ring, however many threads a
+ * run starts: a thread that takes over a retired thread's slot carries
+ * on in its ring, and threads past pm::kThreadSlots share the overflow
+ * ring, which a mutex guards.
  *
  * Everything exports through obs/export.cc (JSON sections `spans`,
  * `latch_contention`, `page_heat`, `outliers`) and renders via
  * tools/fasp-profile.
  *
- * Off cost: every hot-path entry point starts with the same relaxed
- * obs::enabled() load the counters use and returns immediately when
- * metrics are off; the profiler and its rings are only ever
- * materialised after the first enabled spanBegin().
+ * Off cost: every hot-path entry point starts with the relaxed
+ * obs::enabled() load and returns immediately when metrics are off;
+ * the profiler and its rings are only ever materialised after the
+ * first enabled spanBegin().
  *
  * Thread safety: the span free functions touch only thread-local state
- * plus lock-free/atomic profiler structures; recording is safe from
- * any number of threads. Snapshot accessors are safe concurrently with
- * recording (they read atomics), except retainedSpans()/reset(),
- * which are quiescent-only.
+ * plus lock-free/atomic profiler structures (the overflow ring takes
+ * the profiler's mutex); recording is safe from any number of threads.
+ * Snapshot accessors are safe concurrently with recording (they read
+ * atomics), except retainedSpans()/reset(), which are quiescent-only.
  */
 
 #ifndef FASP_OBS_SPAN_H
@@ -48,13 +53,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "pm/phase.h"
+#include "pm/thread_counters.h"
 
 namespace fasp::obs {
 
@@ -64,7 +68,7 @@ inline constexpr std::size_t kPageHeatSlots = 128;
 /** Slowest spans kept per engine by the outlier reservoir. */
 inline constexpr std::size_t kOutliersPerEngine = 8;
 
-/** Spans retained per thread ring before wraparound. */
+/** Spans retained per ring before wraparound. */
 inline constexpr std::size_t kSpanRingCapacity = 256;
 
 /** Engine-code slots (recorderEngineCode() is EngineKind + 1 ≤ 5). */
@@ -191,13 +195,13 @@ struct PageHeatSnapshot
 /** Per-ring occupancy of the span rings. */
 struct SpanRingStats
 {
-    std::size_t ring = 0;
+    std::size_t ring = 0; //!< thread slot; pm::kThreadSlots: overflow
     std::size_t capacity = 0;
     std::uint64_t recorded = 0;
     std::uint64_t dropped = 0;
 };
 
-/** One retained span and the index of the thread ring holding it. */
+/** One retained span and the thread slot of the ring holding it. */
 struct RingSpan
 {
     std::size_t ring = 0;
@@ -215,7 +219,11 @@ struct RingSpan
 class SpanProfiler
 {
   public:
-    SpanProfiler();
+    SpanProfiler() = default;
+    ~SpanProfiler();
+
+    SpanProfiler(const SpanProfiler &) = delete;
+    SpanProfiler &operator=(const SpanProfiler &) = delete;
 
     /** The profiler the hot-path free functions record into. Lazily
      *  constructed on first use, i.e. never in a metrics-off run. */
@@ -223,8 +231,8 @@ class SpanProfiler
 
     // -- Recording (hot-path free functions + deterministic fixtures) --
 
-    /** Fold one finished span: thread ring, engine aggregates, outlier
-     *  reservoir. */
+    /** Fold one finished span: the calling thread's slot ring, engine
+     *  aggregates, outlier reservoir. */
     void recordSpan(const TxSpan &span);
 
     /** Fold one latch wait into the contention totals, the merged
@@ -264,21 +272,22 @@ class SpanProfiler
     /** Spans recorded across all rings / threads. */
     std::uint64_t spansRecorded() const EXCLUDES(mu_);
 
-    /** Per-ring occupancy, registration order. */
+    /** Per-ring occupancy, slot order. */
     std::vector<SpanRingStats> ringStats() const EXCLUDES(mu_);
 
-    /** Retained spans of every thread ring, ring-registration order,
-     *  oldest first within a ring. Quiescent-only (plain-struct rings;
-     *  join writers first). */
+    /** Retained spans of every ring, slot order, oldest first within a
+     *  ring. Quiescent-only (plain-struct rings; join writers first). */
     std::vector<RingSpan> retainedSpans() const EXCLUDES(mu_);
 
     /** Forget everything. Quiescent-only. */
     void reset() EXCLUDES(mu_);
 
   private:
-    /** Single-writer per-thread ring of finished spans. record() is
-     *  the owning thread's; stats reads are atomic; snapshot of the
-     *  payload is quiescent-only (spans are plain structs). */
+    /** Ring of finished spans with one writer at a time: the thread
+     *  holding its slot (the slot registry orders handovers), or
+     *  whoever holds mu_ for the overflow ring. Stats reads are
+     *  atomic; snapshot of the payload is quiescent-only (spans are
+     *  plain structs). */
     struct SpanRing
     {
         std::array<TxSpan, kSpanRingCapacity> slots{};
@@ -334,12 +343,12 @@ class SpanProfiler
         std::vector<TxSpan> entries; // guarded by mu_
     };
 
-    SpanRing &threadRing() EXCLUDES(mu_);
+    /** Thread slot @p slot's ring, allocated on its first span. */
+    SpanRing &ring(std::size_t slot) EXCLUDES(mu_);
     HeatCell *findHeatCell(std::uint64_t pageId);
     void maybeDecayHeat();
     void considerOutlier(const TxSpan &span) EXCLUDES(mu_);
 
-    const std::uint64_t id_; //!< distinguishes profilers in memos
     std::array<EngineAgg, kSpanEngineSlots> engines_;
     Histogram latchWaits_; //!< ns of every latch wait; count is exact
     std::atomic<std::uint64_t> latchConflicts_{0};
@@ -349,7 +358,10 @@ class SpanProfiler
     std::atomic<std::uint64_t> heatDecays_{0};
 
     mutable Mutex mu_;
-    std::deque<std::unique_ptr<SpanRing>> rings_ GUARDED_BY(mu_);
+    /** One owned ring per thread slot, then the overflow ring; null
+     *  until the slot's first span. Published under mu_, loaded
+     *  lock-free by the recording thread. */
+    std::array<std::atomic<SpanRing *>, pm::kThreadSlots + 1> rings_{};
     std::array<Reservoir, kSpanEngineSlots> reservoirs_;
 };
 

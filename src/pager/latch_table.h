@@ -222,6 +222,9 @@ class LatchTable
 
     LatchStats statsSnapshot() const;
 
+    /** Zero the counters. Quiescent only (benchmark phase starts). */
+    void resetStats() { counters_.reset(); }
+
   private:
     std::unique_ptr<PageLatch[]> latches_;
     std::size_t pages_;

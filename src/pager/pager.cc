@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "page/page_io.h"
 #include "page/slotted_page.h"
 #include "pm/device.h"
@@ -34,11 +33,6 @@ PageAllocator::allocate()
                               static_cast<std::uint8_t>(byte |
                                                         slot.mask));
                 hint_ = pid + 1;
-                if (obs::enabled()) {
-                    static obs::Counter &c = obs::MetricsRegistry::
-                        global().counter("pager.page_allocs");
-                    c.inc();
-                }
                 return pid;
             }
             // Skip whole free-less bytes quickly.
@@ -61,11 +55,6 @@ PageAllocator::free(PageId pid)
                   static_cast<std::uint8_t>(byte & ~slot.mask));
     if (pid < hint_)
         hint_ = pid;
-    if (obs::enabled()) {
-        static obs::Counter &c =
-            obs::MetricsRegistry::global().counter("pager.page_frees");
-        c.inc();
-    }
 }
 
 void

@@ -443,40 +443,52 @@ PmDevice::txEnd(bool committed)
 }
 
 void
+PmDevice::applyCrashPolicy(CrashPolicy policy, Rng &rng,
+                           std::uint8_t *image, bool drain)
+{
+    // Shards in index order, each shard's lines in offset order: with
+    // a fixed seed the image is a pure function of (device state,
+    // policy, seed), whatever order the hash map iterates in.
+    std::vector<PmOffset> bases;
+    for (CacheShard &shard : cacheShards_) {
+        MutexLock lk(&shard.mu);
+        bases.clear();
+        for (const auto &[base, line] : shard.lines)
+            bases.push_back(base);
+        std::sort(bases.begin(), bases.end());
+        for (PmOffset base : bases) {
+            const LineBuf &line = shard.lines.at(base);
+            switch (policy) {
+              case CrashPolicy::DropAll:
+                break;
+              case CrashPolicy::RandomLines:
+                // The cache may have evicted any dirty line to PM
+                // before power was lost: persist an arbitrary subset,
+                // whole lines at a time.
+                if (rng.nextBool(0.5))
+                    std::memcpy(image + base, line.data(), kCacheLineSize);
+                break;
+              case CrashPolicy::TornLines:
+                // Only 8-byte units are atomic: each aligned word of
+                // each dirty line independently reaches PM or not.
+                for (std::size_t w = 0; w < kCacheLineSize; w += 8) {
+                    if (rng.nextBool(0.5))
+                        std::memcpy(image + base + w, line.data() + w, 8);
+                }
+                break;
+            }
+        }
+        if (drain)
+            shard.lines.clear();
+    }
+}
+
+void
 PmDevice::crash()
 {
     FASP_ASSERT(config_.mode == PmMode::CacheSim);
-    for (CacheShard &shard : cacheShards_) {
-        MutexLock lk(&shard.mu);
-        switch (config_.crashPolicy) {
-          case CrashPolicy::DropAll:
-            break;
-          case CrashPolicy::RandomLines:
-            // The cache may have evicted any dirty line to PM before
-            // power was lost: persist an arbitrary subset, whole lines
-            // at a time.
-            for (const auto &[base, line] : shard.lines) {
-                if (crashRng_->nextBool(0.5)) {
-                    std::memcpy(durable_.data() + base, line.data(),
-                                kCacheLineSize);
-                }
-            }
-            break;
-          case CrashPolicy::TornLines:
-            // Only 8-byte units are atomic: each aligned word of each
-            // dirty line independently reaches PM or not.
-            for (const auto &[base, line] : shard.lines) {
-                for (std::size_t w = 0; w < kCacheLineSize; w += 8) {
-                    if (crashRng_->nextBool(0.5)) {
-                        std::memcpy(durable_.data() + base + w,
-                                    line.data() + w, 8);
-                    }
-                }
-            }
-            break;
-        }
-        shard.lines.clear();
-    }
+    applyCrashPolicy(config_.crashPolicy, *crashRng_, durable_.data(),
+                     /*drain=*/true);
     dirtyLines_.store(0, std::memory_order_release);
     crashed_.store(true, std::memory_order_release);
     if (PersistencyChecker *chk = checker())
@@ -510,40 +522,7 @@ PmDevice::composeCrashImage(CrashPolicy policy, std::uint64_t seed,
     mc::HookDepthGuard hook_depth; // shard locks, not points
     out.assign(durable_.begin(), durable_.end());
     Rng rng(seed);
-    // Shards are visited in index order and lines within a shard in
-    // map order; with the fixed seed that makes the image a pure
-    // function of (device state, policy, seed)... except that the
-    // unordered_map iteration order could differ across library
-    // implementations. Sort the lines so it cannot.
-    for (CacheShard &shard : cacheShards_) {
-        MutexLock lk(&shard.mu);
-        std::vector<PmOffset> bases;
-        bases.reserve(shard.lines.size());
-        for (const auto &[base, line] : shard.lines)
-            bases.push_back(base);
-        std::sort(bases.begin(), bases.end());
-        for (PmOffset base : bases) {
-            const LineBuf &line = shard.lines.at(base);
-            switch (policy) {
-              case CrashPolicy::DropAll:
-                break;
-              case CrashPolicy::RandomLines:
-                if (rng.nextBool(0.5)) {
-                    std::memcpy(out.data() + base, line.data(),
-                                kCacheLineSize);
-                }
-                break;
-              case CrashPolicy::TornLines:
-                for (std::size_t w = 0; w < kCacheLineSize; w += 8) {
-                    if (rng.nextBool(0.5)) {
-                        std::memcpy(out.data() + base + w,
-                                    line.data() + w, 8);
-                    }
-                }
-                break;
-            }
-        }
-    }
+    applyCrashPolicy(policy, rng, out.data(), /*drain=*/false);
 }
 
 void

@@ -318,7 +318,9 @@ class PmDevice
     /** Simulate power failure per the configured CrashPolicy
      *  (CacheSim mode only; quiescent only). All unflushed lines are
      *  (partially) discarded; subsequent access panics until the device
-     *  image is re-opened by a new engine. */
+     *  image is re-opened by a new engine. Which parts survive depends
+     *  only on the device state, the policy and the crash RNG, as for
+     *  composeCrashImage(). */
     void crash();
 
     /** True once crash() ran (or an injected crash fired). */
@@ -434,6 +436,13 @@ class PmDevice
     {
         return cacheShards_[(line_base / kCacheLineSize) % kCacheShards];
     }
+
+    /** Persist @p policy's choice of the dirty lines into @p image,
+     *  drawing from @p rng; with @p drain, empty the cache as it goes
+     *  (crash()). composeCrashImage() applies the same policy to a
+     *  copy. */
+    void applyCrashPolicy(CrashPolicy policy, Rng &rng,
+                          std::uint8_t *image, bool drain);
 
     void writeImpl(PmOffset off, const void *src, std::size_t len,
                    bool scratch);

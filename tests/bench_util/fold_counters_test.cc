@@ -1,8 +1,8 @@
 /**
  * @file
- * foldCounters: every core.* and pager.latch.* counter an export
- * carries is folded from the one stats struct that counts its
- * event, over the measured phase only (DESIGN.md §11).
+ * The export's counters: each one is folded from the one stats field
+ * that counts its event, over the measured phase only, into its
+ * engine's PhaseLedger entry (DESIGN.md §11).
  */
 
 #include <gtest/gtest.h>
@@ -20,55 +20,43 @@
 namespace fasp::benchutil {
 namespace {
 
-using core::EngineConfig;
 using core::EngineKind;
 
-/** The global registry's non-zero folded counters (pager.page_allocs
- *  and pager.page_frees are still counted at their call sites). */
+/** @p engine's counters in the global PhaseLedger (none if it has no
+ *  entry). */
 std::map<std::string, std::uint64_t>
-foldedCounters()
+exportedCounters(const char *engine)
 {
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &[name, value] :
-         obs::MetricsRegistry::global().counters()) {
-        if (value != 0 && name.rfind("pager.page_", 0) != 0)
-            out[name] = value;
+    for (const obs::PhaseLedger::Entry &e :
+         obs::PhaseLedger::global().entries()) {
+        if (e.engine == engine)
+            return e.counters;
     }
-    return out;
+    return {};
 }
 
-/** Change of one atomic stats field from @p a to @p b. */
-template <typename T>
-std::uint64_t
-delta(const T &a, const T &b)
-{
-    return b.load() - a.load();
-}
-
-/**
- * The table: each exported counter against its stats expression over
- * [before, after], non-zero entries only.
- */
+/** The table: each exported counter against its stats field, non-zero
+ *  entries only. */
 std::map<std::string, std::uint64_t>
-expectedCounters(const EngineCounters &before, const EngineCounters &after)
+expectedCounters(const EngineCounters &c)
 {
-    const core::EngineStats &e0 = before.engine, &e = after.engine;
-    const pm::PcasStats &p0 = before.pcas, &p = after.pcas;
-    const LatchStats &l0 = before.latches, &l = after.latches;
+    const core::EngineStats &e = c.engine;
+    const pm::PcasStats &p = c.pcas;
+    const LatchStats &l = c.latches;
 
     std::map<std::string, std::uint64_t> all = {
-        {"core.tx.commits", delta(e0.txCommitted, e.txCommitted)},
-        {"core.tx.rollbacks", delta(e0.txRolledBack, e.txRolledBack)},
-        {"pager.latch.conflicts", l.conflicts - l0.conflicts},
-        {"pager.latch.shared_acquires",
-         l.sharedAcquires - l0.sharedAcquires},
-        {"pager.latch.exclusive_acquires",
-         l.exclusiveAcquires - l0.exclusiveAcquires},
-        {"pager.latch.upgrades", l.upgrades - l0.upgrades},
-        {"core.pcas.commits", delta(e0.inPlaceCommits, e.inPlaceCommits)},
-        {"core.pcas.fallbacks", delta(e0.pcasFallbacks, e.pcasFallbacks)},
-        {"core.pcas.conflicts", delta(p0.casConflicts, p.casConflicts)},
-        {"core.pcas.exhausted", delta(p0.casExhausted, p.casExhausted)},
+        {"core.tx.commits", e.txCommitted},
+        {"core.tx.rollbacks", e.txRolledBack},
+        {"core.pcas.commits", e.inPlaceCommits},
+        {"core.pcas.fallbacks", e.pcasFallbacks},
+        {"core.pcas.conflicts", p.casConflicts},
+        {"core.pcas.exhausted", p.casExhausted},
+        {"pager.page_allocs", e.pageAllocs},
+        {"pager.page_frees", e.pageFrees},
+        {"pager.latch.conflicts", l.conflicts},
+        {"pager.latch.shared_acquires", l.sharedAcquires},
+        {"pager.latch.exclusive_acquires", l.exclusiveAcquires},
+        {"pager.latch.upgrades", l.upgrades},
     };
     std::map<std::string, std::uint64_t> nonzero;
     for (const auto &[name, value] : all)
@@ -82,39 +70,52 @@ class FoldCountersTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        obs::MetricsRegistry::global().reset();
+        obs::PhaseLedger::global().reset();
+        obs::SpanProfiler::global().reset();
         obs::setEnabled(true);
     }
-    void TearDown() override { obs::setEnabled(false); }
+    void TearDown() override
+    {
+        obs::setEnabled(false);
+        obs::PhaseLedger::global().reset();
+    }
 
     /**
-     * Format a FAST engine, then measure: 300 single-key inserts plus
-     * one transaction that loses a latch conflict to an open writer and
-     * rolls back. Folds the measured phase and returns its endpoints.
+     * A FAST point: create a tree and commit setup inserts, then
+     * measure 300 single-key inserts, deletes that empty the leftmost
+     * leaves, and one transaction that loses a latch conflict to an
+     * open writer and rolls back. Returns the phase's counters.
      */
-    void runMeasured(const EngineConfig &cfg, EngineCounters &before,
-                     EngineCounters &after)
+    EngineCounters runMeasured(const pm::PcasConfig &pcas)
     {
-        pm::PmConfig pm_cfg;
-        pm_cfg.size = 32u << 20;
-        pm::PmDevice device(pm_cfg);
-        auto engine_res = core::Engine::create(device, cfg, true);
-        ASSERT_TRUE(engine_res.isOk());
-        core::Engine &engine = **engine_res;
-        auto tree_res = engine.createTree(1);
-        ASSERT_TRUE(tree_res.isOk());
-        btree::BTree tree = *tree_res;
-
-        before = EngineCounters::of(engine);
-        // Setup committed work the fold must leave out.
-        ASSERT_GT(before.engine.txCommitted.load(), 0u);
-
+        BenchConfig config;
+        config.kind = EngineKind::Fast;
+        config.pcas = pcas;
+        BenchPoint point(config, 32u << 20);
+        core::Engine &engine = point.engine();
+        btree::BTree tree = *engine.createTree(1);
         std::vector<std::uint8_t> value(24, 0x5a);
+        // Setup work the fold must leave out: it moves every stats
+        // block the export reads, and startMeasuring() zeroes them all.
+        for (std::uint64_t key = 1000000; key < 1000200; ++key)
+            EXPECT_TRUE(engine.insert(tree, key, value).isOk());
+        const EngineCounters setup = EngineCounters::of(engine);
+        EXPECT_GT(setup.engine.pageAllocs, 1u);
+        EXPECT_GT(setup.latches.exclusiveAcquires, 0u);
+        if (pcas.failProbability == 1.0) {
+            EXPECT_GT(setup.pcas.casExhausted, 0u);
+        }
+
+        point.startMeasuring();
+        for (const obs::NamedCount &c : EngineCounters::of(engine).named())
+            EXPECT_EQ(c.value, 0u) << c.name;
         for (std::uint64_t key = 1; key <= 300; ++key)
-            ASSERT_TRUE(engine.insert(tree, key * 7919, value).isOk());
+            EXPECT_TRUE(engine.insert(tree, key * 7919, value).isOk());
+        for (std::uint64_t key = 1; key <= 200; ++key)
+            EXPECT_TRUE(engine.erase(tree, key * 7919).isOk());
 
         auto writer = engine.begin();
-        ASSERT_TRUE(tree.insert(writer->pageIO(), 1, value).isOk());
+        EXPECT_TRUE(tree.insert(writer->pageIO(), 1, value).isOk());
         std::thread loser([&engine, &tree, &value] {
             auto tx = engine.begin();
             EXPECT_THROW(tree.insert(tx->pageIO(), 2, value),
@@ -122,74 +123,91 @@ class FoldCountersTest : public ::testing::Test
             tx->rollback();
         });
         loser.join();
-        ASSERT_TRUE(writer->commit().isOk());
+        EXPECT_TRUE(writer->commit().isOk());
 
-        after = EngineCounters::of(engine);
-        foldCounters(engine, before);
+        BenchResult result;
+        point.stopMeasuring(result);
+        return result.counters;
     }
 };
 
 TEST_F(FoldCountersTest, PcasForcedToFallBack)
 {
-    EngineConfig cfg;
-    cfg.kind = EngineKind::Fast;
-    cfg.pcas.failProbability = 1.0; // every attempt fails
-    cfg.pcas.maxRetries = 2;
-    EngineCounters before, after;
-    runMeasured(cfg, before, after);
+    pm::PcasConfig pcas;
+    pcas.failProbability = 1.0; // every attempt fails
+    pcas.maxRetries = 2;
+    const EngineCounters phase = runMeasured(pcas);
 
-    auto folded = foldedCounters();
-    EXPECT_EQ(folded, expectedCounters(before, after));
-    EXPECT_GT(folded["core.pcas.fallbacks"], 0u);
-    EXPECT_EQ(folded["core.pcas.fallbacks"],
-              delta(before.engine.pcasFallbacks,
-                    after.engine.pcasFallbacks));
-    EXPECT_EQ(folded["core.pcas.exhausted"],
-              folded["core.pcas.fallbacks"]);
-    EXPECT_GT(folded["core.tx.rollbacks"], 0u);
-    EXPECT_GT(folded["pager.latch.conflicts"], 0u);
-    EXPECT_EQ(folded.count("core.pcas.commits"), 0u);
+    auto exported = exportedCounters("FAST");
+    EXPECT_EQ(exported, expectedCounters(phase));
+    EXPECT_GT(exported["core.pcas.fallbacks"], 0u);
+    EXPECT_EQ(exported["core.pcas.exhausted"],
+              exported["core.pcas.fallbacks"]);
+    EXPECT_GT(exported["core.tx.rollbacks"], 0u);
+    EXPECT_GT(exported["pager.latch.conflicts"], 0u);
+    EXPECT_GT(exported["pager.page_allocs"], 0u);
+    EXPECT_GT(exported["pager.page_frees"], 0u);
+    EXPECT_EQ(exported.count("core.pcas.commits"), 0u);
 }
 
 TEST_F(FoldCountersTest, PcasCommits)
 {
-    EngineConfig cfg;
-    cfg.kind = EngineKind::Fast;
-    EngineCounters before, after;
-    runMeasured(cfg, before, after);
+    const EngineCounters phase = runMeasured(pm::PcasConfig{});
 
-    auto folded = foldedCounters();
-    EXPECT_EQ(folded, expectedCounters(before, after));
-    EXPECT_GT(folded["core.pcas.commits"], 0u);
-    EXPECT_EQ(folded.count("core.pcas.fallbacks"), 0u);
+    auto exported = exportedCounters("FAST");
+    EXPECT_EQ(exported, expectedCounters(phase));
+    EXPECT_GT(exported["core.pcas.commits"], 0u);
+    EXPECT_GT(exported["pager.page_frees"], 0u);
+    EXPECT_EQ(exported.count("core.pcas.fallbacks"), 0u);
 }
 
 // runBench folds over its own measured phase: its counters describe
 // exactly the transactions its BenchResult reports, and verification
-// afterwards adds nothing (its reads roll back, so any that reached the
-// export would show as rollbacks or aborted spans).
+// afterwards adds nothing (its reads commit, so any that reached the
+// export would show as extra commits or committed spans).
 TEST_F(FoldCountersTest, InsertBenchFoldsItsMeasuredPhase)
 {
-    obs::SpanProfiler::global().reset();
     BenchConfig config;
     config.kind = EngineKind::Fast;
     config.pcas.failProbability = 1.0;
     config.opsPerClient = 200;
     BenchResult result = runBench(config);
 
-    auto folded = foldedCounters();
-    EXPECT_EQ(folded.count("core.tx.rollbacks"), 0u);
-    for (const obs::EngineSpanSummary &s :
-         obs::SpanProfiler::global().engineSummaries())
-        EXPECT_EQ(s.aborts, 0u) << s.engine;
-    EXPECT_EQ(folded["core.tx.commits"],
-              result.counters.engine.txCommitted);
-    EXPECT_EQ(folded["core.tx.commits"], config.opsPerClient);
-    EXPECT_GT(folded["core.pcas.fallbacks"], 0u);
-    EXPECT_EQ(folded["core.pcas.fallbacks"],
-              result.counters.engine.pcasFallbacks);
-    EXPECT_EQ(folded["core.pcas.exhausted"],
+    auto exported = exportedCounters("FAST");
+    EXPECT_EQ(exported, expectedCounters(result.counters));
+    EXPECT_EQ(exported.count("core.tx.rollbacks"), 0u);
+    EXPECT_EQ(exported["core.tx.commits"], config.opsPerClient);
+    // Spans are not windowed: the tree's creation plus the inserts.
+    auto spans = obs::SpanProfiler::global().engineSummaries();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].commits, config.opsPerClient + 1);
+    EXPECT_EQ(spans[0].aborts, 0u);
+    EXPECT_GT(exported["core.pcas.fallbacks"], 0u);
+    EXPECT_EQ(exported["core.pcas.exhausted"],
               result.counters.pcas.casExhausted);
+}
+
+// A YCSB point creates its tree and preloads it before the measured
+// phase; none of that work reaches the export. The measured reads
+// allocate nothing, write-latch nothing and commit read-only.
+TEST_F(FoldCountersTest, PreloadStaysOutOfTheExport)
+{
+    BenchConfig config;
+    config.kind = EngineKind::Fast;
+    config.ycsbMix = 'C'; // reads only
+    config.preloadPerClient = 2000;
+    config.opsPerClient = 300;
+    BenchResult result = runBench(config);
+
+    auto exported = exportedCounters("FAST");
+    EXPECT_EQ(exported, expectedCounters(result.counters));
+    EXPECT_EQ(exported["core.tx.commits"], config.opsPerClient);
+    EXPECT_EQ(exported.count("pager.page_allocs"), 0u);
+    EXPECT_EQ(exported.count("core.pcas.commits"), 0u);
+    EXPECT_EQ(exported.count("core.tx.rollbacks"), 0u);
+    EXPECT_EQ(exported.count("pager.latch.exclusive_acquires"), 0u);
+    EXPECT_EQ(exported.count("pager.latch.upgrades"), 0u);
+    EXPECT_GT(exported["pager.latch.shared_acquires"], 0u);
 }
 
 } // namespace

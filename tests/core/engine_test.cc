@@ -98,6 +98,44 @@ TEST_P(EngineTest, CreateTreeInsertGet)
               StatusCode::NotFound);
 }
 
+// A get and a scan end their read-only transactions by committing
+// them: each counts one commit, no rollback, and neither an in-place
+// nor a log commit; a missing key still reports NotFound.
+TEST_P(EngineTest, ReadsCommitReadOnly)
+{
+    auto engine = freshEngine();
+    auto tree = engine->createTree(1);
+    ASSERT_TRUE(tree.isOk());
+    auto v = value(3, 32);
+    ASSERT_TRUE(engine->insert(*tree, 42, asSpan(v)).isOk());
+
+    const EngineStats before = engine->stats();
+    std::vector<std::uint8_t> out;
+    ASSERT_TRUE(engine->get(*tree, 42, out).isOk());
+    EXPECT_EQ(out, v);
+    const EngineStats after_get = engine->stats();
+    EXPECT_EQ(after_get.txCommitted - before.txCommitted, 1u);
+    EXPECT_EQ(after_get.txRolledBack, before.txRolledBack);
+    EXPECT_EQ(after_get.inPlaceCommits, before.inPlaceCommits);
+    EXPECT_EQ(after_get.logCommits, before.logCommits);
+
+    EXPECT_EQ(engine->get(*tree, 43, out).code(), StatusCode::NotFound);
+    std::size_t visited = 0;
+    ASSERT_TRUE(engine
+                    ->scan(*tree, 0, ~std::uint64_t{0},
+                           [&](std::uint64_t, std::span<const std::uint8_t>) {
+                               ++visited;
+                               return true;
+                           })
+                    .isOk());
+    EXPECT_EQ(visited, 1u);
+    const EngineStats after = engine->stats();
+    EXPECT_EQ(after.txCommitted - before.txCommitted, 3u);
+    EXPECT_EQ(after.txRolledBack, before.txRolledBack);
+    EXPECT_EQ(after.inPlaceCommits, before.inPlaceCommits);
+    EXPECT_EQ(after.logCommits, before.logCommits);
+}
+
 TEST_P(EngineTest, UpdateAndErase)
 {
     auto engine = freshEngine();

@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit and stress tests of the observability layer: histogram bucket
- * boundaries / quantiles / merge, registry stability, folding PM-ledger
- * windows into the PhaseLedger, concurrent recording from many threads,
- * and the span profiler (ring accounting,
+ * boundaries / quantiles, folding PM-ledger windows and their counters
+ * into the PhaseLedger, concurrent recording from many threads, and the
+ * span profiler (ring accounting, one ring per thread slot,
  * contention/heat folding, outlier reservoir, metrics-off negative
  * path).
  */
@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "pm/phase.h"
+#include "pm/thread_counters.h"
 
 namespace fasp::obs {
 namespace {
@@ -110,39 +113,6 @@ TEST(HistogramTest, ResetClearsCountsAndMax)
     EXPECT_EQ(a.quantile(0.99), 0u);
 }
 
-// --- Registry ------------------------------------------------------------
-
-TEST(MetricsRegistryTest, NamesResolveToStableAddresses)
-{
-    MetricsRegistry reg;
-    Counter &c1 = reg.counter("test.counter");
-    Counter &c2 = reg.counter("test.counter");
-    EXPECT_EQ(&c1, &c2);
-    c1.inc();
-    c2.add(4);
-    EXPECT_EQ(c1.value(), 5u);
-
-    Histogram &h = reg.histogram("test.hist");
-    h.record(9);
-    EXPECT_EQ(&h, &reg.histogram("test.hist"));
-
-    auto counters = reg.counters();
-    ASSERT_EQ(counters.size(), 1u);
-    EXPECT_EQ(counters[0].first, "test.counter");
-    EXPECT_EQ(counters[0].second, 5u);
-
-    auto hists = reg.histograms();
-    ASSERT_EQ(hists.size(), 1u);
-    EXPECT_EQ(hists[0].second.count, 1u);
-    ASSERT_EQ(hists[0].second.buckets.size(), 1u);
-
-    reg.reset();
-    EXPECT_EQ(reg.counter("test.counter").value(), 0u);
-    EXPECT_EQ(reg.histogram("test.hist").count(), 0u);
-    // Names stay registered after reset.
-    EXPECT_EQ(reg.counters().size(), 1u);
-}
-
 // --- PhaseLedger -------------------------------------------------------
 
 TEST(PhaseLedgerTest, FoldAccumulatesPerEngine)
@@ -157,9 +127,11 @@ TEST(PhaseLedgerTest, FoldAccumulatesPerEngine)
         pm::setThreadSite(prev);
     }
     window.stop();
-    PhaseLedger::global().fold("ENGINE_A", window);
-    PhaseLedger::global().fold("ENGINE_A", window); // sweep: accumulate
-    PhaseLedger::global().fold("ENGINE_B", window);
+    const NamedCount first[] = {{"z.last", 1}, {"a.first", 2}};
+    const NamedCount sweep[] = {{"a.first", 3}, {"z.last", 0}};
+    PhaseLedger::global().fold("ENGINE_A", window, first);
+    PhaseLedger::global().fold("ENGINE_A", window, sweep); // accumulate
+    PhaseLedger::global().fold("ENGINE_B", window, {});
 
     auto entries = PhaseLedger::global().entries();
     ASSERT_EQ(entries.size(), 2u);
@@ -169,8 +141,18 @@ TEST(PhaseLedgerTest, FoldAccumulatesPerEngine)
     ASSERT_EQ(entries[0].sites.size(), 1u);
     EXPECT_EQ(entries[0].sites[0].first, "s");
     EXPECT_EQ(entries[0].sites[0].second.flushes, 2u);
+    // Counters sum per engine, sorted by name.
+    EXPECT_EQ(entries[0].counters,
+              (std::map<std::string, std::uint64_t>{{"a.first", 5},
+                                                    {"z.last", 1}}));
     EXPECT_EQ(entries[1].engine, "ENGINE_B");
     EXPECT_EQ(entries[1].phases[lf].flushes, 1u);
+    EXPECT_TRUE(entries[1].counters.empty());
+
+    // A zero count never creates its name.
+    const NamedCount zero[] = {{"never", 0}};
+    PhaseLedger::global().fold("ENGINE_B", window, zero);
+    EXPECT_TRUE(PhaseLedger::global().entries()[1].counters.empty());
     PhaseLedger::global().reset();
     EXPECT_TRUE(PhaseLedger::global().entries().empty());
 }
@@ -182,9 +164,7 @@ TEST(ObsStressTest, ConcurrentRecordingFromManyThreads)
     constexpr std::size_t kThreads = 8;
     constexpr std::size_t kOpsPerThread = 20000;
 
-    MetricsRegistry reg;
-    Counter &counter = reg.counter("stress.ops");
-    Histogram &hist = reg.histogram("stress.latency");
+    Histogram hist;
     static const char *kSites[] = {"stress.a", "stress.b", "stress.c"};
     pm::PhaseTracker window;
     window.start();
@@ -193,7 +173,6 @@ TEST(ObsStressTest, ConcurrentRecordingFromManyThreads)
     for (std::size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&] {
             for (std::size_t i = 0; i < kOpsPerThread; ++i) {
-                counter.inc();
                 hist.record(i % 5000);
                 pm::PhaseScope phase(static_cast<pm::Component>(
                     i % pm::kNumComponents));
@@ -202,9 +181,6 @@ TEST(ObsStressTest, ConcurrentRecordingFromManyThreads)
                 pm::billFlush(10);
                 pm::billFence(0);
                 pm::setThreadSite(prev);
-                // Concurrent registry lookups must also be safe.
-                if (i % 4096 == 0)
-                    reg.counter("stress.ops").inc();
             }
         });
     }
@@ -217,7 +193,6 @@ TEST(ObsStressTest, ConcurrentRecordingFromManyThreads)
     window.stop();
 
     constexpr std::uint64_t kOps = kThreads * kOpsPerThread;
-    EXPECT_GE(counter.value(), kOps);
     EXPECT_EQ(hist.count(), kOps);
 
     pm::PmCell phases;
@@ -328,6 +303,9 @@ TEST(ObsStressTest, SpanRingAndHeatSketchConcurrent)
 
     SpanProfiler prof;
     std::atomic<bool> writing{true};
+    // Every writer stays alive until all have recorded, so each holds
+    // its own thread slot and so its own ring.
+    std::latch all_recorded(kThreads);
 
     std::thread reader([&] {
         while (writing.load(std::memory_order_acquire)) {
@@ -358,6 +336,7 @@ TEST(ObsStressTest, SpanRingAndHeatSketchConcurrent)
                                      i % 11 == 0);
                 prof.recordPageAccess(i % 300, i % 2 == 0);
             }
+            all_recorded.arrive_and_wait();
         });
     }
     for (auto &th : threads)
@@ -413,6 +392,78 @@ TEST(ObsStressTest, SpanRingAndHeatSketchConcurrent)
     EXPECT_EQ(outs.size(), kOutliersPerEngine);
     for (const TxSpan &o : outs)
         EXPECT_GE(o.wallNs, 100u);
+}
+
+/** A committed FAST span of @p wallNs. */
+TxSpan
+fastSpan(std::uint64_t txId, std::uint64_t wallNs)
+{
+    TxSpan span;
+    span.txId = txId;
+    span.engine = "FAST";
+    span.engineCode = 1;
+    span.committed = true;
+    span.wallNs = wallNs;
+    span.phaseNs[0] = wallNs;
+    return span;
+}
+
+// Rings are keyed by thread slot: eight threads that run one after
+// another, each joined before the next starts, take the same slot one
+// by one and leave one ring, not eight.
+TEST(SpanProfilerTest, SequentialThreadsShareOneRing)
+{
+    constexpr std::size_t kThreads = 8;
+    constexpr std::uint64_t kSpansPerThread = 100;
+    SpanProfiler prof;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        std::thread([&prof, t] {
+            for (std::uint64_t i = 0; i < kSpansPerThread; ++i)
+                prof.recordSpan(fastSpan(t * kSpansPerThread + i, 100 + i));
+        }).join();
+    }
+    auto stats = prof.ringStats();
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(stats[0].recorded, kThreads * kSpansPerThread);
+    EXPECT_EQ(stats[0].dropped,
+              kThreads * kSpansPerThread - kSpanRingCapacity);
+    EXPECT_EQ(prof.spansRecorded(), kThreads * kSpansPerThread);
+    // The ring keeps the newest spans, oldest first: the last thread's.
+    auto retained = prof.retainedSpans();
+    ASSERT_EQ(retained.size(), kSpanRingCapacity);
+    EXPECT_EQ(retained.back().span.txId, kThreads * kSpansPerThread - 1);
+}
+
+// Threads past the slot count share the overflow ring, several writers
+// at once (run under TSan in CI).
+TEST(SpanProfilerTest, ThreadsPastTheSlotsShareTheOverflowRing)
+{
+    constexpr std::size_t kThreads = pm::kThreadSlots + 4;
+    constexpr std::uint64_t kSpansPerThread = 20;
+    SpanProfiler prof;
+    // Each thread takes its slot with its first span and holds it until
+    // all have, so at least four find every slot taken.
+    std::latch slotted(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&prof, &slotted, t] {
+            prof.recordSpan(fastSpan(t * kSpansPerThread, 100));
+            slotted.arrive_and_wait();
+            for (std::uint64_t i = 1; i < kSpansPerThread; ++i)
+                prof.recordSpan(fastSpan(t * kSpansPerThread + i, 100));
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    auto stats = prof.ringStats();
+    ASSERT_FALSE(stats.empty());
+    EXPECT_LE(stats.size(), pm::kThreadSlots + 1);
+    EXPECT_EQ(stats.back().ring, pm::kThreadSlots);
+    EXPECT_GE(stats.back().recorded, 4 * kSpansPerThread);
+    EXPECT_EQ(prof.spansRecorded(), kThreads * kSpansPerThread);
+    EXPECT_EQ(prof.engineSummaries().at(0).spans,
+              kThreads * kSpansPerThread);
 }
 
 // Negative path: with metrics off, the span free functions must leave

@@ -1,5 +1,5 @@
 # Shape test for fasp-profile: run all three render modes over the
-# export-demo golden (a deterministic schema-v7 document with spans,
+# export-demo golden (a deterministic schema-v8 document with spans,
 # contention, heat, and outliers) and assert each output carries the
 # expected structure.
 

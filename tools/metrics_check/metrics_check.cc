@@ -8,13 +8,13 @@
  *  - the --json report: {"bench", "tables": [{title, columns, rows}]}
  *    with rectangular rows — the missing-field regression guard for
  *    the CI bench-smoke artifacts;
- *  - the --metrics export: schema_version 7, counters /
- *    histograms (complete summary fields), pm_phases / pm_sites /
- *    recovery sections, and the span profiler's spans /
- *    latch_contention / page_heat / outliers sections, with latch
- *    contention keyed by page. A v4 leftover (a `trace` section,
- *    outlier `events` slices) or a v5 one (any latch field keyed by
- *    slot) is rejected.
+ *  - the --metrics export: schema_version 8, counters keyed by
+ *    engine, pm_phases / pm_sites / recovery sections, and the span
+ *    profiler's spans / latch_contention / page_heat / outliers
+ *    sections, with latch contention keyed by page. A v4 leftover (a
+ *    `trace` section, outlier `events` slices), a v5 one (any latch
+ *    field keyed by slot) or a v7 one (a `histograms` section, a
+ *    number directly under `counters`) is rejected.
  *
  * With --metrics, instead validates one or more existing --metrics
  * exports (the CI bench-smoke artifacts) against that schema.
@@ -23,7 +23,7 @@
  * the paper's Figure-8 commit breakdown for FAST / FASH / NVWAL:
  * log-flush activity for all three, checkpointing for the logging
  * engines, and the atomic 64-B header write for FAST at exactly one
- * flush and one fence per in-place commit (paper §3.2). It also
+ * flush and one fence per FAST in-place commit (paper §3.2). It also
  * asserts the figure's headline from the --json report: at 1200 ns
  * write latency NVWAL's commit(us) is at least 5x FAST's.
  *
@@ -171,28 +171,23 @@ checkMetricsSchema(const JsonValue &doc)
         requireField(doc, "schema_version", JsonValue::Number,
                      "metrics");
     if (version)
-        check(version->number == 7, "metrics: schema_version != 7");
+        check(version->number == 8, "metrics: schema_version != 8");
 
     const JsonValue *counters =
         requireField(doc, "counters", JsonValue::Object, "metrics");
     if (counters) {
-        for (const auto &[name, value] : counters->fields)
-            check(value.isNumber(),
-                  "counter \"" + name + "\" not a number");
-    }
-
-    const JsonValue *hists =
-        requireField(doc, "histograms", JsonValue::Object, "metrics");
-    if (hists) {
-        for (const auto &[name, h] : hists->fields) {
-            std::string where = "histogram \"" + name + "\"";
-            if (!check(h.kind == JsonValue::Object,
-                       where + ": not an object"))
+        for (const auto &[engine, named] : counters->fields) {
+            std::string where = "counters." + engine;
+            if (!check(named.kind == JsonValue::Object,
+                       where + ": not an object (v7 flat counter?)"))
                 continue;
-            checkHist(h, where);
-            requireField(h, "buckets", JsonValue::Array, where);
+            for (const auto &[name, value] : named.fields)
+                check(value.isNumber(),
+                      where + ".\"" + name + "\" not a number");
         }
     }
+    check(doc.find("histograms") == nullptr,
+          "metrics: v7 \"histograms\" section present");
 
     const JsonValue *phases =
         requireField(doc, "pm_phases", JsonValue::Object, "metrics");
@@ -399,14 +394,17 @@ checkFig8(const JsonValue &doc)
     }
 
     // FAST's in-place commits publish through one persistent CAS of
-    // header word 0 (DESIGN.md §14): the run must have booked PCAS
-    // commits, and the atomic 64-B write must have cost exactly one
+    // header word 0 (DESIGN.md §14): FAST must have booked PCAS
+    // commits, and its atomic 64-B write must have cost exactly one
     // flush and one fence for each. The fallback counters may
     // legitimately stay zero on an uncontended run.
     const JsonValue *counters = doc.find("counters");
-    if (check(counters && counters->kind == JsonValue::Object,
-              "fig8: counters section missing")) {
-        const JsonValue *commits = counters->find("core.pcas.commits");
+    const JsonValue *fast_counters =
+        counters != nullptr ? counters->find("FAST") : nullptr;
+    if (check(fast_counters && fast_counters->kind == JsonValue::Object,
+              "fig8: no counters entry for FAST")) {
+        const JsonValue *commits =
+            fast_counters->find("core.pcas.commits");
         if (check(commits && commits->isNumber() && commits->number > 0,
                   "fig8: core.pcas.commits missing or zero") &&
             fast) {

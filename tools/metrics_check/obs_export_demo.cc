@@ -1,11 +1,11 @@
 /**
  * @file
- * Deterministic exporter demo: builds a fixed registry / phase ledger /
- * span profiler and writes the JSON and chrome://tracing exports to
- * the two paths given on the command line. A ctest diffs
- * the output against golden files (tests/obs/golden/), so any
- * unintentional change to an export schema fails the build's test
- * suite.
+ * Deterministic exporter demo: builds a fixed phase ledger (with its
+ * counters) / recovery ledger / span profiler and writes the JSON and
+ * chrome://tracing exports to the two paths given on the command line.
+ * A ctest diffs the output against golden files (tests/obs/golden/),
+ * so any unintentional change to an export schema fails the build's
+ * test suite.
  *
  * Usage: obs_export_demo <out.json> <out.trace.json>
  */
@@ -29,14 +29,6 @@ main(int argc, char **argv)
                              "<out.trace.json>\n");
         return 2;
     }
-
-    obs::MetricsRegistry registry;
-    registry.counter("core.tx.commits").add(120);
-    registry.counter("core.pcas.commits").add(90);
-    registry.counter("core.pcas.fallbacks").add(3);
-    obs::Histogram &hist = registry.histogram("bench.txn_ns.FAST");
-    for (std::uint64_t v : {0u, 1u, 5u, 5u, 900u, 1500u, 70000u})
-        hist.record(v);
 
     // PM-ledger fixture: one window per engine, billed as PmDevice bills
     // (each event to the innermost phase and the current site tag).
@@ -68,10 +60,21 @@ main(int argc, char **argv)
            [] { pm::billReadMiss(1200); });
     nvwal_window.stop();
 
+    // Each window folds with its phase's counters; zero counts are
+    // skipped, and a second fold of one engine accumulates.
+    const obs::NamedCount fast_counts[] = {{"core.tx.commits", 60},
+                                           {"core.pcas.commits", 45},
+                                           {"core.pcas.fallbacks", 3}};
+    const obs::NamedCount fast_sweep_counts[] = {
+        {"core.tx.commits", 60},
+        {"core.pcas.commits", 45},
+        {"core.pcas.fallbacks", 0}};
+    const obs::NamedCount nvwal_counts[] = {{"core.tx.commits", 40},
+                                            {"core.pcas.commits", 0}};
     obs::PhaseLedger ledger;
-    ledger.fold("FAST", fast_window);
-    ledger.fold("FAST", fast_window); // latency sweep: accumulates
-    ledger.fold("NVWAL", nvwal_window);
+    ledger.fold("FAST", fast_window, fast_counts);
+    ledger.fold("FAST", fast_window, fast_sweep_counts); // latency sweep
+    ledger.fold("NVWAL", nvwal_window, nvwal_counts);
 
     obs::RecoveryLedger recovery;
     obs::RecoveryBreakdown fast_rec;
@@ -152,8 +155,8 @@ main(int argc, char **argv)
         profiler.recordPageAccess(3, i % 2 == 0);
     profiler.recordPageAccess(11, true);
 
-    std::string json = obs::exportJson("obs_export_demo", registry,
-                                       ledger, recovery, &profiler);
+    std::string json =
+        obs::exportJson("obs_export_demo", ledger, recovery, &profiler);
 
     // Chrome-trace fixture: a profiler of its own, so its spans can
     // carry distinct begin timestamps and come from two thread rings
